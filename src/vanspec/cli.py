@@ -37,6 +37,7 @@ from .scenarios import (
     quadrant_hierarchy,
 )
 from .spectral import (
+    ETA_RANGE_SLACK,
     EtaUTable,
     aesd,
     asymptotic_mse,
@@ -221,6 +222,23 @@ def gx_support_range(dist: SamplingDistribution) -> tuple[float, float]:
     return float(edges[0]), float(edges[-1])
 
 
+def _check_loaded_table(table: EtaUTable, path: str, d: int, n: int, trials: int,
+                        b_span: Sequence[float], g_span: Sequence[float]) -> None:
+    for name, have, want in (("d", table.d, d), ("n", table.n, n),
+                             ("trials", table.trials, trials)):
+        if have != want:
+            raise UsageError(
+                f"--eta-table {path}: table has {name}={have}, request needs {name}={want}"
+            )
+    for name, grid, (lo, hi) in (("beta", table.beta_grid, b_span),
+                                 ("gamma", table.gamma_grid, g_span)):
+        if lo < grid[0] * (1 - ETA_RANGE_SLACK) or hi > grid[-1] * (1 + ETA_RANGE_SLACK):
+            raise UsageError(
+                f"--eta-table {path}: table {name} range [{grid[0]:.5g}, {grid[-1]:.5g}] "
+                f"does not cover the requested [{lo:.5g}, {hi:.5g}]"
+            )
+
+
 def mixture_eta_table(
     dist: SamplingDistribution,
     d: int,
@@ -232,8 +250,13 @@ def mixture_eta_table(
     threads: Optional[int],
     table_path: Optional[str],
     include_uniform_baseline: bool = True,
-) -> EtaUTable:
-    """Load or build an eta_u table covering the mixture's query range."""
+) -> tuple[EtaUTable, dict]:
+    """Load or build an eta_u table covering the mixture's query range.
+
+    A table loaded from table_path must match d, n and trials and cover the
+    range.  Returns the table and the CSV metadata that names it: the sha256
+    of the table file when table_path is given, nothing otherwise.
+    """
     ylo, yhi = gx_support_range(dist)
     betas = list(betas)
     gammas = [db_to_linear(g) for g in gammas_db]
@@ -244,13 +267,17 @@ def mixture_eta_table(
         b_span = [min(b_span[0], min(betas)), max(b_span[1], max(betas))]
         g_span = [min(g_span[0], min(g_args)), max(g_span[1], max(g_args))]
     if table_path and os.path.exists(table_path):
-        return EtaUTable.load(table_path)
-    table = build_eta_table(
-        d, n, tuple(b_span), tuple(g_span), trials=trials, seed=seed, threads=threads
-    )
-    if table_path:
+        table = EtaUTable.load(table_path)
+        _check_loaded_table(table, table_path, d, n, trials, b_span, g_span)
+    else:
+        table = build_eta_table(
+            d, n, tuple(b_span), tuple(g_span), trials=trials, seed=seed, threads=threads
+        )
+        if not table_path:
+            return table, {}
         table.save(table_path)
-    return table
+    with open(table_path, "rb") as fh:
+        return table, {"eta_table_sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +362,10 @@ def cmd_mse(args) -> int:
         raise UsageError(f"distribution is d={dist.d}, requested --d {args.d}")
     betas = parse_float_list(args.beta)
     gammas_db = parse_db_grid(args.gamma_db)
-    eta = mixture_eta_table(dist, args.d, args.n, betas, gammas_db,
-                            trials=args.table_trials, seed=args.seed + 7919,
-                            threads=args.threads, table_path=args.eta_table,
-                            include_uniform_baseline=False)
+    eta, eta_meta = mixture_eta_table(dist, args.d, args.n, betas, gammas_db,
+                                      trials=args.table_trials, seed=args.seed + 7919,
+                                      threads=args.threads, table_path=args.eta_table,
+                                      include_uniform_baseline=False)
     rows = []
     for beta in betas:
         m = max(1, int(round(args.n ** args.d / beta)))
@@ -356,6 +383,7 @@ def cmd_mse(args) -> int:
     table = make_table("mse", config, args.seed,
                        ["beta", "gamma_db", "mse_mc", "mse_trace", "mse_asymptotic", "stderr"],
                        rows)
+    table.metadata.update(eta_meta)
     write_table(args.out, table)
     if args.svg:
         series = []
@@ -374,9 +402,9 @@ def cmd_scenario_fading(args) -> int:
     dist = fading_distribution(args.a_db)
     betas = parse_float_list(args.beta)
     gammas_db = parse_db_grid(args.gamma_db)
-    eta = mixture_eta_table(dist, 2, args.n, betas, gammas_db,
-                            trials=args.table_trials, seed=args.seed + 7919,
-                            threads=args.threads, table_path=args.eta_table)
+    eta, eta_meta = mixture_eta_table(dist, 2, args.n, betas, gammas_db,
+                                      trials=args.table_trials, seed=args.seed + 7919,
+                                      threads=args.threads, table_path=args.eta_table)
     rows = []
     for beta in betas:
         for gdb in gammas_db:
@@ -389,6 +417,7 @@ def cmd_scenario_fading(args) -> int:
               "n": args.n, "table_trials": args.table_trials}
     table = make_table("scenario-fading", config, args.seed,
                        ["curve", "beta", "gamma_db", "mse"], rows)
+    table.metadata.update(eta_meta)
     write_table(args.out, table)
     if args.svg:
         series = []
@@ -411,9 +440,9 @@ def cmd_scenario_csma(args) -> int:
     prof = csma_success_profile(hier)
     betas = parse_float_list(args.beta)
     gammas_db = parse_db_grid(args.gamma_db)
-    eta = mixture_eta_table(prof.distribution, 2, args.n, betas, gammas_db,
-                            trials=args.table_trials, seed=args.seed + 7919,
-                            threads=args.threads, table_path=args.eta_table)
+    eta, eta_meta = mixture_eta_table(prof.distribution, 2, args.n, betas, gammas_db,
+                                      trials=args.table_trials, seed=args.seed + 7919,
+                                      threads=args.threads, table_path=args.eta_table)
     rows = []
     for gdb in gammas_db:
         gamma = db_to_linear(gdb)
@@ -431,6 +460,7 @@ def cmd_scenario_csma(args) -> int:
                        ["curve", "gamma_db", "beta", "mse"], rows)
     for i, p in enumerate(prof.normalized_success):
         table.metadata[f"p_s_{i + 1}"] = float(p)
+    table.metadata.update(eta_meta)
     write_table(args.out, table)
     if args.svg:
         series = []

@@ -8,11 +8,29 @@ every limiting-spectrum and asymptotic-MSE formula downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import stats
+
+# Gauss-Legendre nodes per piece of a closed-form g_x.  A piece's density
+# may have square-root behaviour at its ends (the fading g_x at its
+# breakpoint), so the rule runs in s with y = lo + (hi - lo)(1 - cos(pi s))/2,
+# which makes such ends smooth.  What is left converges algebraically: the
+# C1 knots of the PCHIP eta_u table.  96 nodes put the fig3 fading mixtures
+# within 1e-6 relative of adaptive quadrature at epsrel 1e-10.
+NODES_PER_PIECE = 96
+
+
+@functools.cache
+def _cosine_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u = (1 - cos(pi s))/2 and weights du on [0, 1], from the n-point
+    Gauss-Legendre rule in s (cached: building the rule costs milliseconds)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * np.pi * (t + 1.0)
+    return 0.5 * (1.0 - np.cos(s)), 0.25 * np.pi * np.sin(s) * w
 
 
 @dataclass(frozen=True)
@@ -24,12 +42,28 @@ class GxClosedForm:
     breakpoints: tuple[float, ...] = ()
     cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine-mapped Gauss-Legendre nodes on each piece between the support
+        ends and the breakpoints, with weights that include the density."""
+        knots = np.array([self.support[0], *self.breakpoints, self.support[1]])
+        u, du = _cosine_rule(NODES_PER_PIECE)
+        width = np.diff(knots)[:, None]
+        y = (knots[:-1, None] + width * u).ravel()
+        return y, (width * du).ravel() * self.density(y)
+
 
 @dataclass(frozen=True)
 class GxDiscreteAtoms:
     """g_x as a finite mixture of atoms (y_i, |A_i|); areas sum to |A|."""
 
     atoms: tuple[tuple[float, float], ...]
+
+    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms themselves, areas normalized to probabilities."""
+        y, area = np.array(self.atoms, dtype=float).T
+        if np.any(y <= 0):
+            raise ValueError("discrete g_x atoms need y > 0")
+        return y, area / area.sum()
 
 
 @dataclass(frozen=True)
@@ -38,6 +72,12 @@ class GxEmpirical:
 
     edges: np.ndarray
     masses: np.ndarray  # sums to 1
+
+    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and masses of the bins that hold mass."""
+        keep = self.masses > 0
+        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        return centers[keep], self.masses[keep]
 
 
 GxRepresentation = Union[GxClosedForm, GxDiscreteAtoms, GxEmpirical]

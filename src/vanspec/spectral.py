@@ -16,17 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
-from .sampling import (
-    GxClosedForm,
-    GxDiscreteAtoms,
-    GxEmpirical,
-    GxRepresentation,
-    SamplingDistribution,
-)
+from .sampling import GxRepresentation, SamplingDistribution
 
 # Eigenvalues below ATOM_TOL_REL x (largest eigenvalue of the trial) count as
 # the atom at zero.  1e-4 captures the exponentially collapsing cluster that
@@ -304,6 +297,11 @@ class EtaTableRangeError(ValueError):
     """Query outside the tabulated (beta, gamma) range; extend the table."""
 
 
+# Relative slack of the table's range check, for queries that land on an
+# end node up to rounding.
+ETA_RANGE_SLACK = 1e-9
+
+
 @dataclass
 class EtaUTable:
     """Empirical eta-transform of the uniform-phase spectrum on a grid.
@@ -320,38 +318,52 @@ class EtaUTable:
     beta_grid: np.ndarray
     gamma_grid: np.ndarray
     values: np.ndarray  # (len(beta_grid), len(gamma_grid))
-    _row_interp: list = field(default_factory=list, repr=False, compare=False)
+    _gamma_interp: PchipInterpolator = field(init=False, repr=False, compare=False)
 
-    def _interp_rows(self):
-        if not self._row_interp:
-            lg = np.log(self.gamma_grid)
-            self._row_interp = [
-                PchipInterpolator(lg, row, extrapolate=False) for row in self.values
-            ]
-        return self._row_interp
+    def __post_init__(self):
+        # one PCHIP per beta row, all rows in one interpolant along log gamma
+        self._gamma_interp = PchipInterpolator(
+            np.log(self.gamma_grid), self.values, axis=1, extrapolate=False
+        )
 
-    def eta(self, beta: float, gamma: float) -> float:
-        if gamma == 0.0:
-            return 1.0
-        if gamma < 0 or beta <= 0:
+    def eta(self, beta, gamma):
+        """eta_u at broadcasting (beta, gamma) arrays; a float for scalars.
+
+        Each query first interpolates every beta row at its gamma (PCHIP in
+        log gamma), then interpolates that column at its beta (PCHIP in log
+        beta).  Any element outside the table raises EtaTableRangeError;
+        nothing is extrapolated.
+        """
+        b, g = np.broadcast_arrays(np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float))
+        out = np.ones(b.shape)
+        live = g != 0.0
+        b, g = b[live], g[live]
+        if np.any(g < 0) or np.any(b <= 0):
             raise ValueError("need beta > 0 and gamma >= 0")
         bg, gg = self.beta_grid, self.gamma_grid
-        if not (bg[0] * (1 - 1e-9) <= beta <= bg[-1] * (1 + 1e-9)):
-            raise EtaTableRangeError(
-                f"beta={beta:.5g} outside table range [{bg[0]:.5g}, {bg[-1]:.5g}]"
-            )
-        if not (gg[0] * (1 - 1e-9) <= gamma <= gg[-1] * (1 + 1e-9)):
-            raise EtaTableRangeError(
-                f"gamma={gamma:.5g} outside table range [{gg[0]:.5g}, {gg[-1]:.5g}]"
-            )
-        beta = float(np.clip(beta, bg[0], bg[-1]))
-        gamma = float(np.clip(gamma, gg[0], gg[-1]))
-        col = np.array([float(f(np.log(gamma))) for f in self._interp_rows()])
+        for name, q, grid in (("beta", b, bg), ("gamma", g, gg)):
+            lo, hi = grid[0] * (1 - ETA_RANGE_SLACK), grid[-1] * (1 + ETA_RANGE_SLACK)
+            outside = ~((q >= lo) & (q <= hi))
+            if np.any(outside):
+                raise EtaTableRangeError(
+                    f"{name}={q[outside][0]:.5g} outside table range "
+                    f"[{grid[0]:.5g}, {grid[-1]:.5g}]"
+                )
+        cols = self._gamma_interp(np.log(np.clip(g, gg[0], gg[-1])))  # (len(bg), k)
         if len(bg) == 1:
-            return float(col[0])
-        return float(PchipInterpolator(np.log(bg), col, extrapolate=False)(np.log(beta)))
+            out[live] = cols[0]
+        else:
+            # the beta-axis PCHIP of every query column at once, as piecewise
+            # cubics c[:, interval, column] in powers of (log beta - knot)
+            poly = PchipInterpolator(np.log(bg), cols, axis=0, extrapolate=False)
+            lb = np.log(np.clip(b, bg[0], bg[-1]))
+            i = np.clip(np.searchsorted(poly.x, lb, side="right") - 1, 0, len(bg) - 2)
+            c = poly.c[:, i, np.arange(lb.size)]
+            t = lb - poly.x[i]
+            out[live] = ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+        return float(out) if out.ndim == 0 else out
 
-    def __call__(self, beta: float, gamma: float) -> float:
+    def __call__(self, beta, gamma):
         return self.eta(beta, gamma)
 
     def save(self, path: str) -> None:
@@ -443,7 +455,8 @@ def build_eta_table(
     )
 
 
-EtaCallable = Callable[[float, float], float]
+# eta_u(beta, gamma): broadcasting arrays in, an array (or a scalar) out.
+EtaCallable = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def eta_mixture(
@@ -456,42 +469,17 @@ def eta_mixture(
 ) -> float:
     """eta_x(d, beta, gamma) = 1 - |A| + |A| * int g_x(y) eta_u(beta/y, gamma*y) dy.
 
-    Discrete atoms evaluate as an exact finite sum; closed forms by adaptive
-    quadrature over the g_x support; empirical histograms bin by bin.
+    The integral is the finite weighted sum over g_x's nodes_weights: exact
+    for atoms and histograms, a fixed Gauss-Legendre rule for closed forms.
+    eta_u is called once, on all nodes together.
     """
     if gamma == 0.0:
         return 1.0
     if isinstance(eta_u, EtaUTable) and eta_u.d != d:
         raise ValueError(f"eta_u table has d={eta_u.d}, mixture needs d={d}")
+    y, w = gx.nodes_weights()
     A = support_measure
-    if isinstance(gx, GxDiscreteAtoms):
-        total = 0.0
-        for y, area in gx.atoms:
-            if y <= 0:
-                raise ValueError("discrete g_x atoms need y > 0")
-            total += area * eta_u(beta / y, gamma * y)
-        return 1.0 - A + total
-    if isinstance(gx, GxClosedForm):
-        lo, hi = gx.support
-        val, _ = integrate.quad(
-            lambda y: float(gx.density(np.array([y]))[0]) * eta_u(beta / y, gamma * y),
-            lo,
-            hi,
-            points=list(gx.breakpoints),
-            limit=200,
-            epsabs=0.0,
-            epsrel=1e-4,
-        )
-        return 1.0 - A + A * val
-    if isinstance(gx, GxEmpirical):
-        centers = 0.5 * (gx.edges[:-1] + gx.edges[1:])
-        total = sum(
-            mass * eta_u(beta / y, gamma * y)
-            for y, mass in zip(centers, gx.masses)
-            if mass > 0
-        )
-        return 1.0 - A + A * float(total)
-    raise TypeError(f"unsupported g_x representation {type(gx).__name__}")
+    return 1.0 - A + A * float(np.sum(w * eta_u(beta / y, gamma * y)))
 
 
 def asymptotic_mse(

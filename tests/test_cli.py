@@ -1,9 +1,12 @@
 import csv
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from vanspec.cli import main, parse_db_grid, parse_float_list
+from vanspec.spectral import EtaUTable
 
 
 def read_rows(path):
@@ -146,3 +149,48 @@ def test_eta_table_reuse(tmp_path):
     assert table.exists()
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+MSE_ARGV = ["mse", "--dist", "fading:a_db=5", "--d", "2", "--n", "8", "--beta", "0.4",
+            "--gamma-db", "0,10", "--trials", "4", "--table-trials", "5"]
+
+
+@pytest.fixture(scope="module")
+def saved_table_run(tmp_path_factory):
+    """An mse run that builds and saves its eta table: (table path, CSV path)."""
+    tmp = tmp_path_factory.mktemp("eta")
+    table, out = tmp / "eta.json", tmp / "built.csv"
+    assert main(["--eta-table", str(table)] + MSE_ARGV + ["--out", str(out)]) == 0
+    return table, out
+
+
+def test_eta_table_reuse_records_sha_and_is_byte_identical(saved_table_run, tmp_path):
+    table, built = saved_table_run
+    loaded, plain = tmp_path / "loaded.csv", tmp_path / "plain.csv"
+    assert main(["--eta-table", str(table)] + MSE_ARGV + ["--out", str(loaded)]) == 0
+    assert built.read_bytes() == loaded.read_bytes()
+    meta, _, _ = read_rows(str(loaded))
+    assert meta["eta_table_sha256"] == hashlib.sha256(table.read_bytes()).hexdigest()
+    # without --eta-table the metadata does not name a table
+    assert main(MSE_ARGV + ["--out", str(plain)]) == 0
+    assert "eta_table_sha256" not in read_rows(str(plain))[0]
+
+
+@pytest.mark.parametrize("field, change", [
+    ("d", {"d": 1}),
+    ("n", {"n": 9}),
+    ("trials", {"trials": 6}),
+    ("beta", "beta_grid"),
+    ("gamma", "gamma_grid"),
+])
+def test_eta_table_reuse_rejects_mismatch(saved_table_run, tmp_path, capsys, field, change):
+    good = EtaUTable.load(str(saved_table_run[0]))
+    if isinstance(change, str):  # shift the grid so its low end misses the request
+        change = {change: getattr(good, change) * 1.2}
+    path = tmp_path / "bad.json"
+    dataclasses.replace(good, **change).save(str(path))
+    rc = main(["--eta-table", str(path)] + MSE_ARGV + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"table has {field}=" in err or f"table {field} range" in err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from vanspec.moments import uniform_moment
-from vanspec.sampling import GxDiscreteAtoms, uniform_distribution
+from vanspec.sampling import (
+    GxDiscreteAtoms,
+    GxEmpirical,
+    empirical_density_of_density,
+    uniform_distribution,
+)
 from vanspec.spectral import (
     EtaTableRangeError,
+    EtaUTable,
     aesd,
     asymptotic_mse,
     build_eta_table,
@@ -18,7 +28,7 @@ from vanspec.spectral import (
     multi_indices,
     transform_scaled_lsd,
 )
-from vanspec.scenarios import hole_distribution
+from vanspec.scenarios import db_to_linear, fading_distribution, fading_gx, hole_distribution
 
 from helpers import point_distribution
 
@@ -281,3 +291,149 @@ def test_asymptotic_mse_scales_gamma():
     gx = GxDiscreteAtoms(atoms=((1.0, 1.0),))
     got = asymptotic_mse(gx, 1.0, 1, 0.5, 2.0, lambda b, g: 1.0 / (1.0 + g))
     assert got == pytest.approx(1.0 / (1.0 + 2.0 / 0.5))
+
+
+# ---------------------------------------------------------------------------
+# batched lookups and the fixed-rule mixture
+
+
+def per_point_eta(table, beta, gamma):
+    """Reference lookup, one point at a time: a PCHIP per beta row in log
+    gamma, then a fresh PCHIP through that column in log beta."""
+    if gamma == 0.0:
+        return 1.0
+    beta = np.clip(beta, table.beta_grid[0], table.beta_grid[-1])
+    gamma = np.clip(gamma, table.gamma_grid[0], table.gamma_grid[-1])
+    lg = np.log(table.gamma_grid)
+    col = np.array([float(PchipInterpolator(lg, row, extrapolate=False)(np.log(gamma)))
+                    for row in table.values])
+    if len(table.beta_grid) == 1:
+        return float(col[0])
+    return float(PchipInterpolator(np.log(table.beta_grid), col, extrapolate=False)(np.log(beta)))
+
+
+@st.composite
+def tables_and_queries(draw):
+    nb = draw(st.integers(1, 6))
+    ng = draw(st.integers(2, 9))
+    unit = st.floats(0.0, 1.0)
+    beta_grid = np.cumsum(0.05 + np.array(draw(st.lists(unit, min_size=nb, max_size=nb))))
+    gamma_grid = np.geomspace(0.1, 0.1 * 10 ** draw(st.floats(0.5, 4.0)), ng)
+    # eta_u lies in (0, 1]; a floor keeps the relative comparison meaningful
+    eta_values = st.floats(0.01, 1.0)
+    values = np.array(draw(st.lists(eta_values, min_size=nb * ng, max_size=nb * ng)))
+    values = values.reshape(nb, ng)
+    table = EtaUTable(d=1, n=8, trials=3, seed=0, beta_grid=beta_grid,
+                      gamma_grid=gamma_grid, values=values)
+    k = draw(st.integers(1, 12))
+    fb = np.array(draw(st.lists(unit, min_size=k, max_size=k)))
+    fg = np.array(draw(st.lists(unit, min_size=k, max_size=k)))
+    beta = beta_grid[0] * (beta_grid[-1] / beta_grid[0]) ** fb
+    gamma = gamma_grid[0] * (gamma_grid[-1] / gamma_grid[0]) ** fg
+    gamma[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
+    return table, beta, gamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_queries())
+def test_eta_table_array_lookup_matches_per_point(case):
+    table, beta, gamma = case
+    got = table.eta(beta, gamma)
+    assert got.shape == beta.shape
+    ref = np.array([per_point_eta(table, b, g) for b, g in zip(beta, gamma)])
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert np.all(got[gamma == 0.0] == 1.0)
+    assert isinstance(table.eta(beta[0], gamma[0]), float)
+    grid = table.eta(beta[:, None], gamma[None, :])  # arguments broadcast
+    assert grid.shape == (beta.size, gamma.size)
+    assert np.allclose(np.diagonal(grid), got, rtol=1e-12, atol=0.0)
+    # one element outside either axis spoils the whole call
+    for bad_beta, bad_gamma in ((table.beta_grid[0] * 0.9, gamma[0] or 1.0),
+                                (beta[0], table.gamma_grid[-1] * 1.1)):
+        with pytest.raises(EtaTableRangeError):
+            table.eta(np.append(beta, bad_beta), np.append(gamma, bad_gamma))
+
+
+def test_eta_table_array_lookup_rejects_bad_arguments():
+    table = EtaUTable(d=1, n=8, trials=3, seed=0, beta_grid=np.array([0.5, 1.0]),
+                      gamma_grid=np.array([1.0, 10.0]), values=np.array([[0.6, 0.3], [0.7, 0.4]]))
+    with pytest.raises(ValueError):
+        table.eta(np.array([0.6, -0.1]), np.array([2.0, 2.0]))
+    with pytest.raises(ValueError):
+        table.eta(np.array([0.6, 0.7]), np.array([2.0, -2.0]))
+    # gamma == 0 is exactly 1 whatever beta is, as for scalars
+    assert table.eta(np.array([0.6, -1.0]), 0.0).tolist() == [1.0, 1.0]
+
+
+FIG3_BETAS = (0.2, 0.4, 0.6, 0.8)
+FIG3_GDB = tuple(range(-10, 31, 2))
+
+
+def quad_mixture(gx, beta, gamma, eta_u, points=()):
+    """Tight adaptive-quadrature reference for int g_x(y) eta_u(beta/y, gamma*y) dy."""
+    lo, hi = gx.support
+    inside = sorted({p for p in (*gx.breakpoints, *points) if lo < p < hi})
+    val, _ = integrate.quad(
+        lambda y: float(gx.density(np.array([y]))[0]) * float(eta_u(beta / y, gamma * y)),
+        lo, hi, points=inside, limit=1000, epsabs=0.0, epsrel=1e-10,
+    )
+    return val
+
+
+def test_mixture_fixed_rule_matches_tight_quad_analytic():
+    gx = fading_gx(db_to_linear(5.0))
+
+    def eta_u(b, g):
+        return 1.0 / (1.0 + g) * b / (1.0 + b)
+
+    for beta in FIG3_BETAS:
+        for gdb in FIG3_GDB:
+            gamma = db_to_linear(gdb) / beta
+            got = eta_mixture(gx, 1.0, 2, beta, gamma, eta_u)
+            assert got == pytest.approx(quad_mixture(gx, beta, gamma, eta_u), rel=1e-5)
+
+
+def test_mixture_fixed_rule_matches_tight_quad_table():
+    gx = fading_gx(db_to_linear(5.0))
+    lo, hi = gx.support
+    table = build_eta_table(2, 8, (0.2 / hi, 0.8 / lo),
+                            (db_to_linear(-10) / 0.8 * lo, db_to_linear(30) / 0.2 * hi),
+                            beta_nodes=10, gamma_nodes=16, trials=4, seed=5)
+    for beta in (0.2, 0.8):
+        for gdb in (-10, 10, 30):
+            gamma = db_to_linear(gdb) / beta
+            # the table's knots, where its interpolant has a second-derivative jump
+            knots = [*(beta / table.beta_grid), *(table.gamma_grid / gamma)]
+            got = eta_mixture(gx, 1.0, 2, beta, gamma, table)
+            assert got == pytest.approx(quad_mixture(gx, beta, gamma, table, knots), rel=1e-5)
+
+
+@pytest.mark.parametrize("gx", [
+    fading_gx(db_to_linear(5.0)),
+    GxDiscreteAtoms(atoms=((0.5, 0.25), (1.0, 0.25), (2.0, 0.25))),
+    empirical_density_of_density(fading_distribution(5.0), cells_per_axis=64, bins=16),
+], ids=["closed-form", "discrete", "empirical"])
+def test_mixture_calls_eta_u_once(gx):
+    calls = []
+
+    def eta_u(b, g):
+        calls.append(np.shape(b))
+        return 1.0 / (1.0 + g)
+
+    assert 0.0 < eta_mixture(gx, 0.75, 2, 0.4, 3.0, eta_u) < 1.0
+    assert len(calls) == 1
+    assert calls[0] == gx.nodes_weights()[0].shape
+
+
+def test_mixture_accepts_scalar_returning_eta_u():
+    fading = fading_gx(db_to_linear(5.0))
+    assert eta_mixture(fading, 1.0, 2, 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.2, rel=1e-12)
+    hist = GxEmpirical(edges=np.array([0.5, 1.0, 1.5, 2.0]), masses=np.array([0.4, 0.0, 0.6]))
+    assert eta_mixture(hist, 0.5, 2, 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.6)
+    assert hist.nodes_weights()[0].tolist() == [0.75, 1.75]
+
+
+def test_discrete_atoms_reject_nonpositive_y():
+    gx = GxDiscreteAtoms(atoms=((0.0, 0.5), (2.0, 0.5)))
+    with pytest.raises(ValueError):
+        eta_mixture(gx, 1.0, 2, 0.4, 3.0, lambda b, g: 0.2)
