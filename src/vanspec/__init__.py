@@ -39,7 +39,6 @@ from .sampling import (  # noqa: F401
 from .scenarios import (  # noqa: F401
     ClusterHierarchy,
     FadingScenario,
-    HoleScenario,
     csma_success_profile,
     default_collision_model,
     dense_limit,

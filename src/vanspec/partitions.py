@@ -303,10 +303,10 @@ def vandermonde_coefficient(
     """
     if method not in ("noncrossing-shortcut", "extrapolated-count"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "noncrossing-shortcut" and is_noncrossing(part):
+        # not cached: the cache holds counted values only
+        return PartitionCoefficient(partition=part, value=1.0, rational=Fraction(1), exact=True)
     key = part.labels
-    if method == "noncrossing-shortcut":
-        if key not in _coefficient_cache and is_noncrossing(part):
-            _coefficient_cache[key] = Fraction(1)
     if key not in _coefficient_cache:
         if part.p > P_MAX:
             raise ValueError(f"p={part.p} above counting cap {P_MAX}")

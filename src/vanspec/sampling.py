@@ -58,6 +58,11 @@ class GxDiscreteAtoms:
 
     atoms: tuple[tuple[float, float], ...]
 
+    @property
+    def support(self) -> tuple[float, float]:
+        ys = [y for y, _ in self.atoms]
+        return min(ys), max(ys)
+
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The atoms themselves, areas normalized to probabilities."""
         y, area = np.array(self.atoms, dtype=float).T
@@ -72,6 +77,10 @@ class GxEmpirical:
 
     edges: np.ndarray
     masses: np.ndarray  # sums to 1
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.edges[0]), float(self.edges[-1])
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Centers and masses of the bins that hold mass."""

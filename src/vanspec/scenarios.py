@@ -54,10 +54,6 @@ class FadingScenario:
         b = a / (np.pi * erf(np.sqrt(a / 4.0)) ** 2)
         return cls(a=a, b=float(b))
 
-    def delivery_probability(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(z)
-        return np.exp(-self.a * (z[:, 0] ** 2 + z[:, 1] ** 2))
-
 
 def fading_gx(a: float) -> GxClosedForm:
     """Density of the fading density value: piecewise form on [b e^-a/2, b].
@@ -145,24 +141,14 @@ def fading_mse(a: float, beta: float, gamma: float, eta_u: EtaCallable) -> float
 # coverage holes (scaled support)
 
 
-@dataclass(frozen=True)
-class HoleScenario:
-    """Uniform deployment restricted to a centered region of measure c."""
-
-    c: float
-
-    def __post_init__(self):
-        if not 0 < self.c <= 1:
-            raise ValueError("c must be in (0, 1]")
-
-
 def hole_distribution(c: float, d: int = 1) -> SamplingDistribution:
     """Uniform density 1/c on a centered hypercube of measure c.
 
     d = 1 is the plain scaled-interval model; higher d uses side c^(1/d)
     per axis so the covered measure is still c.
     """
-    HoleScenario(c)
+    if not 0 < c <= 1:
+        raise ValueError("c must be in (0, 1]")
     side = c ** (1.0 / d)
 
     def density(z: np.ndarray) -> np.ndarray:
@@ -201,7 +187,6 @@ class CollisionParams:
     slot_duration: float = 1.0
     backoff_factor: float = 1.0
     vulnerability_slots: float = 2.0
-    payload_bytes: int = 32  # kept for configuration parity; not used by the closed form
 
 
 def default_collision_model(

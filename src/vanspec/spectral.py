@@ -135,9 +135,6 @@ class SpectrumSummary:
         """Pooled atom/positive split point."""
         return ATOM_TOL_REL * float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
-    def positive_part(self) -> np.ndarray:
-        return self.eigenvalues[self.eigenvalues >= self.atom_cut]
-
 
 def _histogram(
     positives: np.ndarray, bins, positive_mass: float

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from vanspec.cli import main, parse_db_grid, parse_float_list
+from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid, parse_float_list
 from vanspec.spectral import EtaUTable
 
 
@@ -129,6 +129,47 @@ def test_usage_error_exit_code(tmp_path):
     rc = main(["moments", "--dist", "nosuchkind", "--d", "1", "--beta", "1",
                "--max-p", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_bad_bins_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5",
+              "--trials", "2", "--bins", "foo", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "--bins" in capsys.readouterr().err
+
+
+def test_dist_item_without_value_is_usage_error(tmp_path, capsys):
+    rc = main(["moments", "--dist", "hole:c", "--d", "1", "--beta", "1",
+               "--max-p", "2", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "'c'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("moments", ["--beta", "1", "--max-p", "2"]),
+    ("spectrum", ["--n", "8", "--beta", "0.5", "--trials", "2"]),
+    ("mse", ["--n", "8", "--beta", "0.5", "--gamma-db", "0"]),
+])
+def test_dist_dimension_mismatch_is_usage_error(tmp_path, capsys, command, extra):
+    out = tmp_path / "x.csv"
+    rc = main([command, "--dist", "fading:a_db=5", "--d", "1", *extra, "--out", str(out)])
+    assert rc == 2
+    assert "distribution is d=2, requested --d 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fig", [f for f, entry in FIGURES.items() if not callable(entry)])
+def test_figure_argv_carries_reproduce_options(tmp_path, fig):
+    args = build_parser().parse_args(
+        ["--seed", "7", "--threads", "1", "--eta-table", "t.json", "reproduce", fig,
+         "--out-dir", str(tmp_path), "--table-trials", "9"])
+    ns = figure_args(args)
+    scenario = FIGURES[fig][1]
+    assert (ns.command, ns.scenario) == ("scenario", scenario)
+    assert ns.func.__name__ == f"cmd_scenario_{scenario}"
+    assert (ns.seed, ns.threads, ns.eta_table, ns.table_trials) == (7, 1, "t.json", 9)
+    assert (ns.out, ns.svg) == (str(tmp_path / f"{fig}.csv"), str(tmp_path / f"{fig}.svg"))
 
 
 def test_svg_never_alters_csv(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanspec import partitions
 from vanspec.partitions import (
     P_MAX,
     SetPartition,
@@ -176,6 +177,22 @@ def test_methods_agree_on_noncrossing():
         a = vandermonde_coefficient(q, "noncrossing-shortcut")
         b = vandermonde_coefficient(q, "extrapolated-count")
         assert a.rational == b.rational
+
+
+def test_counting_runs_after_shortcut(monkeypatch):
+    calls = []
+
+    def counting(q, n):
+        calls.append(n)
+        return lattice_count(q, n)
+
+    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+    monkeypatch.setattr(partitions, "lattice_count", counting)
+    q = part([1, 2], [3, 4])
+    assert vandermonde_coefficient(q, "noncrossing-shortcut").rational == 1
+    assert not calls
+    assert vandermonde_coefficient(q, "extrapolated-count").rational == 1
+    assert calls
 
 
 @pytest.mark.parametrize("p", range(1, 6))
