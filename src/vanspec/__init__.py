@@ -4,7 +4,6 @@ field-reconstruction error under lossy wireless sensor sampling."""
 __version__ = "0.1.0"
 
 from .moments import (  # noqa: F401
-    DensityPowerIntegrals,
     MomentTable,
     asymptotic_moment,
     density_power_integrals,

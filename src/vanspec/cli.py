@@ -37,7 +37,7 @@ from .scenarios import (
     quadrant_hierarchy,
 )
 from .spectral import (
-    ETA_RANGE_SLACK,
+    EtaTableRangeError,
     EtaUTable,
     aesd,
     asymptotic_mse,
@@ -59,9 +59,12 @@ class UsageError(Exception):
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        vals = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise UsageError(f"bad float list {text!r}")
+    if not vals:
+        raise UsageError(f"empty float list {text!r}")
+    return vals
 
 
 def parse_db_grid(text: str) -> list[float]:
@@ -92,9 +95,11 @@ def parse_bins(text: str):
     if text == "auto":
         return "auto"
     try:
-        return int(text)
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"want an integer or 'auto', got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"want an integer >= 1 or 'auto', got {text!r}")
 
 
 def load_hierarchy(payload: dict) -> ClusterHierarchy:
@@ -131,28 +136,31 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
                 payload[key] = float(val)
             except ValueError:
                 raise UsageError(f"bad --dist item {item!r} in {spec!r}, want key=number")
-    kind = payload.get("kind")
-    dist_d = int(payload.get("d", d or 1))
-    if kind == "uniform":
-        dist = uniform_distribution(dist_d)
-    elif kind == "hole":
-        if "c" not in payload:
-            raise UsageError("hole distribution needs c")
-        dist = hole_distribution(float(payload["c"]), d=dist_d)
-    elif kind == "fading":
-        if "a_db" not in payload:
-            raise UsageError("fading distribution needs a_db")
-        dist = fading_distribution(float(payload["a_db"]))
-    elif kind == "csma":
-        hier_payload = payload.get("hierarchy")
-        if hier_payload is None and "config" in payload:
-            with open(payload["config"], encoding="utf-8") as fh:
-                hier_payload = json.load(fh)
-        if hier_payload is None:
-            raise UsageError("csma distribution needs a hierarchy")
-        dist = csma_success_profile(load_hierarchy(hier_payload)).distribution
-    else:
-        raise UsageError(f"unknown distribution kind {kind!r}")
+    try:
+        kind = payload.get("kind")
+        dist_d = int(payload.get("d", d or 1))
+        if kind == "uniform":
+            dist = uniform_distribution(dist_d)
+        elif kind == "hole":
+            if "c" not in payload:
+                raise UsageError("hole distribution needs c")
+            dist = hole_distribution(float(payload["c"]), d=dist_d)
+        elif kind == "fading":
+            if "a_db" not in payload:
+                raise UsageError("fading distribution needs a_db")
+            dist = fading_distribution(float(payload["a_db"]))
+        elif kind == "csma":
+            hier_payload = payload.get("hierarchy")
+            if hier_payload is None and "config" in payload:
+                with open(payload["config"], encoding="utf-8") as fh:
+                    hier_payload = json.load(fh)
+            if hier_payload is None:
+                raise UsageError("csma distribution needs a hierarchy")
+            dist = csma_success_profile(load_hierarchy(hier_payload)).distribution
+        else:
+            raise UsageError(f"unknown distribution kind {kind!r}")
+    except ValueError as exc:  # the factory's own argument checks
+        raise UsageError(f"bad --dist {spec!r}: {exc}")
     if dist.d != d:
         raise UsageError(f"distribution is d={dist.d}, requested --d {d}")
     return dist
@@ -222,13 +230,10 @@ def _check_loaded_table(table: EtaUTable, args, d: int,
             raise UsageError(
                 f"--eta-table {path}: table has {name}={have}, request needs {name}={want}"
             )
-    for name, grid, (lo, hi) in (("beta", table.beta_grid, b_span),
-                                 ("gamma", table.gamma_grid, g_span)):
-        if lo < grid[0] * (1 - ETA_RANGE_SLACK) or hi > grid[-1] * (1 + ETA_RANGE_SLACK):
-            raise UsageError(
-                f"--eta-table {path}: table {name} range [{grid[0]:.5g}, {grid[-1]:.5g}] "
-                f"does not cover the requested [{lo:.5g}, {hi:.5g}]"
-            )
+    try:
+        table.check_covers(b_span, g_span)
+    except EtaTableRangeError as exc:
+        raise UsageError(f"--eta-table {path}: {exc}")
 
 
 def mixture_eta_table(args, dist: SamplingDistribution, betas: list[float],

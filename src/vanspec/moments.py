@@ -11,26 +11,15 @@ uniform-phase values.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .partitions import P_MAX, enumerate_partitions, vandermonde_coefficient
-from .sampling import GxDiscreteAtoms, SamplingDistribution
-
-
-@dataclass(frozen=True)
-class DensityPowerIntegrals:
-    """Integrals I_k = int_H f(z)^k dz for k = 1..P."""
-
-    values: tuple[float, ...]
-    method: str  # closed-form | quadrature | monte-carlo
-    stderr: tuple[float, ...] | None = None
+from .sampling import SamplingDistribution
 
 
 @dataclass(frozen=True)
@@ -39,64 +28,22 @@ class MomentTable:
     beta: float
     moments: tuple[float, ...]
     distribution_id: str
-    integrals: DensityPowerIntegrals
+    integrals: tuple[float, ...]  # I_1..I_P
 
 
-def density_power_integrals(dist: SamplingDistribution, P: int) -> DensityPowerIntegrals:
-    """Compute I_1..I_P, preferring closed forms, then quadrature (d <= 2),
-    then antithetic Monte Carlo."""
+def density_power_integrals(dist: SamplingDistribution, P: int) -> tuple[float, ...]:
+    """I_1..I_P, where I_k = int_H f(z)^k dz = |A| * int y^k g_x(y) dy.
+
+    The integral over y is the weighted sum over g_x's nodes_weights, the
+    same rule as the g_x mixture: exact for atoms and histograms, and the
+    fixed Gauss-Legendre rule for closed forms.
+    """
     if P < 1:
         raise ValueError("P must be >= 1")
-    if dist.power_integral is not None:
-        vals = tuple(float(dist.power_integral(k)) for k in range(1, P + 1))
-        return DensityPowerIntegrals(values=vals, method="closed-form")
-    if isinstance(dist.gx, GxDiscreteAtoms):
-        # piecewise-constant density: I_k = sum_i |A_i| y_i^k exactly
-        vals = tuple(
-            float(sum(area * y ** k for y, area in dist.gx.atoms))
-            for k in range(1, P + 1)
-        )
-        return DensityPowerIntegrals(values=vals, method="closed-form")
-    if dist.d == 1:
-        vals = []
-        for k in range(1, P + 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                try:
-                    v, _ = integrate.quad(
-                        lambda z: float(dist.density(np.array([[z]]))[0]) ** k,
-                        -0.5, 0.5, epsabs=0.0, epsrel=1e-9, limit=200,
-                    )
-                except integrate.IntegrationWarning as exc:
-                    raise ValueError(f"I_{k} quadrature failed for {dist.id}: {exc}")
-            vals.append(v)
-        return DensityPowerIntegrals(values=tuple(vals), method="quadrature")
-    if dist.d == 2:
-        vals = []
-        for k in range(1, P + 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                try:
-                    v, _ = integrate.dblquad(
-                        lambda z2, z1: float(dist.density(np.array([[z1, z2]]))[0]) ** k,
-                        -0.5, 0.5, -0.5, 0.5, epsabs=1e-10, epsrel=1e-8,
-                    )
-                except integrate.IntegrationWarning as exc:
-                    raise ValueError(f"I_{k} quadrature failed for {dist.id}: {exc}")
-            vals.append(v)
-        return DensityPowerIntegrals(values=tuple(vals), method="quadrature")
-    # d >= 3: plain Monte Carlo with antithetic pairs
-    rng = np.random.default_rng(0)
-    n_pairs = 200_000
-    z = rng.random((n_pairs, dist.d)) - 0.5
-    fz = dist.density(z)
-    fz_anti = dist.density(-z)
-    vals, errs = [], []
-    for k in range(1, P + 1):
-        pair_means = 0.5 * (fz ** k + fz_anti ** k)
-        vals.append(float(np.mean(pair_means)))
-        errs.append(float(np.std(pair_means) / np.sqrt(n_pairs)))
-    return DensityPowerIntegrals(values=tuple(vals), method="monte-carlo", stderr=tuple(errs))
+    if dist.gx is None:
+        raise ValueError(f"{dist.id} has no g_x, so its power integrals are unknown")
+    y, w = dist.gx.nodes_weights()
+    return tuple(dist.support_measure * float(np.sum(w * y ** k)) for k in range(1, P + 1))
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +59,7 @@ def asymptotic_moment(
     p: int,
     d: int,
     beta: float,
-    I: Union[DensityPowerIntegrals, Sequence[float]],
+    I: Sequence[float],
 ) -> float:
     """p-th asymptotic moment of V V^H at aspect ratio beta."""
     if p < 1 or p > P_MAX:
@@ -121,11 +68,10 @@ def asymptotic_moment(
         raise ValueError("d must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    values = I.values if isinstance(I, DensityPowerIntegrals) else tuple(I)
-    if len(values) < p:
-        raise ValueError(f"need I_1..I_{p}, got only {len(values)} integrals")
+    if len(I) < p:
+        raise ValueError(f"need I_1..I_{p}, got only {len(I)} integrals")
     return float(
-        sum(beta ** (p - k) * values[k - 1] * float(_omega_sum(p, k, d)) for k in range(1, p + 1))
+        sum(beta ** (p - k) * I[k - 1] * float(_omega_sum(p, k, d)) for k in range(1, p + 1))
     )
 
 
@@ -135,7 +81,7 @@ def uniform_moment(p: int, d: int, beta: float) -> float:
 
 
 def moment_table(dist: SamplingDistribution, d: int, beta: float, P: int) -> MomentTable:
-    """Moments M_1..M_P for a sampling distribution."""
+    """Moments M_1..M_P for a sampling distribution; it needs a g_x."""
     if d != dist.d:
         raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
     I = density_power_integrals(dist, P)

@@ -93,9 +93,9 @@ def observe(V: DFoldVandermonde, spec: FieldSpectrum, sigma_n2: float, seed) -> 
 def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     """LMMSE estimate of the spectrum and the trace form of its error.
 
-    Solves the m x m dual system when m < n^d, else the n^d x n^d primal
-    (Woodbury-equivalent) one.  trace_mse is computed from the error
-    covariance by an explicit Hermitian solve, independent of any
+    One LU solve of the n^d x n^d system B = sigma_n^-2 beta^-1 V V^H +
+    sigma_a^-2 I on [rhs | I]: column 0 is the estimate, the rest is B^-1,
+    the error covariance, whose trace gives trace_mse independently of any
     eigendecomposition.
     """
     if not np.isfinite(obs.gamma) or obs.sigma_n2 <= 0:
@@ -107,16 +107,10 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     E = V.entries
 
     B = (1.0 / (sigma_n2 * beta)) * (E @ E.conj().T) + (1.0 / sigma_a2) * np.eye(nd)
-    if V.m < nd:
-        A = (sigma_a2 / beta) * (E.conj().T @ E) + sigma_n2 * np.eye(V.m)
-        a_hat = (sigma_a2 / np.sqrt(beta)) * (E @ np.linalg.solve(A, obs.p))
-    else:
-        rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * (E @ obs.p)
-        a_hat = np.linalg.solve(B, rhs)
-
-    # error covariance (sigma_a^-2 I + sigma_n^-2 beta^-1 V V^H)^-1
-    cov = np.linalg.solve(B, np.eye(nd, dtype=complex))
-    trace_mse = float(np.real(np.trace(cov))) / (nd * sigma_a2)
+    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * (E @ obs.p)
+    sol = np.linalg.solve(B, np.column_stack([rhs, np.eye(nd, dtype=complex)]))
+    a_hat = sol[:, 0]
+    trace_mse = float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2)
 
     if obs.field is not None:
         err = obs.field.a - a_hat

@@ -3,7 +3,7 @@
 A SamplingDistribution bundles the density of delivered-sample positions,
 its support measure, a seeded sampler and, when known, the distribution of
 the density value itself (the "density of the density" g_x), which drives
-every limiting-spectrum and asymptotic-MSE formula downstream.
+every limiting-spectrum, moment and asymptotic-MSE formula downstream.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ class SamplingDistribution:
 
     density maps an (m, d) array of points to (m,) nonnegative values;
     sampler(seed, m) draws m i.i.d. points as an (m, d) array.
-    power_integral, when set, returns the exact value of the k-th
-    density-power integral over H.
     """
 
     d: int
@@ -108,7 +106,6 @@ class SamplingDistribution:
     sampler: Callable[[object, int], np.ndarray]
     gx: Optional[GxRepresentation]
     id: str
-    power_integral: Optional[Callable[[int], float]] = None
 
 
 def uniform_distribution(d: int = 1) -> SamplingDistribution:
@@ -131,7 +128,6 @@ def uniform_distribution(d: int = 1) -> SamplingDistribution:
         sampler=sampler,
         gx=GxDiscreteAtoms(atoms=((1.0, 1.0),)),
         id=f"uniform-d{d}",
-        power_integral=lambda k: 1.0,
     )
 
 

@@ -118,9 +118,6 @@ def fading_distribution(a_db: float) -> SamplingDistribution:
             out = np.vstack([out, z[keep]])
         return out[:m]
 
-    def power_integral(k: int) -> float:
-        return float(b ** k * (np.pi / (k * a)) * erf(np.sqrt(k * a / 4.0)) ** 2)
-
     return SamplingDistribution(
         d=2,
         density=density,
@@ -128,7 +125,6 @@ def fading_distribution(a_db: float) -> SamplingDistribution:
         sampler=sampler,
         gx=fading_gx(a),
         id=f"fading-a{a_db:g}dB",
-        power_integral=power_integral,
     )
 
 
@@ -167,7 +163,6 @@ def hole_distribution(c: float, d: int = 1) -> SamplingDistribution:
         sampler=sampler,
         gx=GxDiscreteAtoms(atoms=((1.0 / c, c),)),
         id=f"hole-c{c:g}-d{d}",
-        power_integral=lambda k: float(c ** (1 - k)),
     )
 
 

@@ -299,6 +299,11 @@ class EtaTableRangeError(ValueError):
 ETA_RANGE_SLACK = 1e-9
 
 
+def _outside(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Mask of the queries q outside [grid[0], grid[-1]] widened by the slack."""
+    return ~((q >= grid[0] * (1 - ETA_RANGE_SLACK)) & (q <= grid[-1] * (1 + ETA_RANGE_SLACK)))
+
+
 @dataclass
 class EtaUTable:
     """Empirical eta-transform of the uniform-phase spectrum on a grid.
@@ -339,8 +344,7 @@ class EtaUTable:
             raise ValueError("need beta > 0 and gamma >= 0")
         bg, gg = self.beta_grid, self.gamma_grid
         for name, q, grid in (("beta", b, bg), ("gamma", g, gg)):
-            lo, hi = grid[0] * (1 - ETA_RANGE_SLACK), grid[-1] * (1 + ETA_RANGE_SLACK)
-            outside = ~((q >= lo) & (q <= hi))
+            outside = _outside(q, grid)
             if np.any(outside):
                 raise EtaTableRangeError(
                     f"{name}={q[outside][0]:.5g} outside table range "
@@ -362,6 +366,17 @@ class EtaUTable:
 
     def __call__(self, beta, gamma):
         return self.eta(beta, gamma)
+
+    def check_covers(self, beta_span: Sequence[float], gamma_span: Sequence[float]) -> None:
+        """Raise EtaTableRangeError unless every query in the [lo, hi] spans
+        is inside the table, by the same range rule as eta."""
+        for name, span, grid in (("beta", beta_span, self.beta_grid),
+                                 ("gamma", gamma_span, self.gamma_grid)):
+            if np.any(_outside(np.asarray(span, dtype=float), grid)):
+                raise EtaTableRangeError(
+                    f"table {name} range [{grid[0]:.5g}, {grid[-1]:.5g}] "
+                    f"does not cover the requested [{span[0]:.5g}, {span[1]:.5g}]"
+                )
 
     def save(self, path: str) -> None:
         payload = {

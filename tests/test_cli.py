@@ -146,6 +146,30 @@ def test_dist_item_without_value_is_usage_error(tmp_path, capsys):
     assert "'c'" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5",
+      "--trials", "2", "--bins", "0"], "--bins: want an integer >= 1"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta=", "--gamma-db", "0"],
+     "empty float list ''"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db="],
+     "empty float list ''"),
+    (["moments", "--dist", "hole:c=2", "--d", "1", "--beta", "1", "--max-p", "2"],
+     "bad --dist 'hole:c=2': c must be in (0, 1]"),
+], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range"])
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("moments", ["--beta", "1", "--max-p", "2"]),
     ("spectrum", ["--n", "8", "--beta", "0.5", "--trials", "2"]),

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erf
 
 from vanspec.moments import (
     asymptotic_moment,
@@ -11,48 +14,77 @@ from vanspec.moments import (
     uniform_moment,
 )
 from vanspec.sampling import uniform_distribution
-from vanspec.scenarios import fading_distribution, hole_distribution
+from vanspec.scenarios import (
+    FadingScenario,
+    csma_success_profile,
+    fading_distribution,
+    hole_distribution,
+    quadrant_hierarchy,
+)
+
+K_MAX = 7
+KS = range(1, K_MAX + 1)
+
+
+@pytest.mark.parametrize("c", [0.8, 0.5, 0.3])
+def test_integrals_hole_closed_form(c):
+    I = density_power_integrals(hole_distribution(c), K_MAX)
+    assert I == pytest.approx([c ** (1 - k) for k in KS], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a_db", [0.0, 5.0, 10.0])
+def test_integrals_fading_closed_form(a_db):
+    # int_H (b exp(-a |z|^2))^k dz over the unit square
+    sc = FadingScenario.from_db(a_db)
+    ref = [sc.b ** k * np.pi / (k * sc.a) * erf(np.sqrt(k * sc.a / 4.0)) ** 2 for k in KS]
+    I = density_power_integrals(fading_distribution(a_db), K_MAX)
+    assert I == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("lambda1", [(1e-3, 2e-4, 2e-4, 2e-5), (5e-3, 1e-3, 1e-3, 1e-4)],
+                         ids=["fig6", "fig7"])
+def test_integrals_csma_closed_form(lambda1):
+    # piecewise-constant density: sum of area * p^k over the strips
+    prof = csma_success_profile(quadrant_hierarchy(lambda1))
+    ref = [sum(area * p ** k for p, area in prof.gx.atoms) for k in KS]
+    I = density_power_integrals(prof.distribution, K_MAX)
+    assert I == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_integrals_uniform():
-    I = density_power_integrals(uniform_distribution(1), 4)
-    assert I.method == "closed-form"
-    assert I.values == (1.0, 1.0, 1.0, 1.0)
+    for d in (1, 2, 3):
+        assert density_power_integrals(uniform_distribution(d), K_MAX) == (1.0,) * K_MAX
+
+
+def test_integrals_need_gx():
+    bare = dataclasses.replace(fading_distribution(5.0), gx=None, id="fading-bare")
+    with pytest.raises(ValueError, match="fading-bare"):
+        density_power_integrals(bare, 2)
+    with pytest.raises(ValueError, match="fading-bare"):
+        moment_table(bare, 2, 1.0, 2)
 
 
 def test_integrals_scaled_uniform():
     I = density_power_integrals(hole_distribution(0.5, d=1), 3)
-    assert I.values == pytest.approx((1.0, 2.0, 4.0))
+    assert I == pytest.approx((1.0, 2.0, 4.0))
 
 
 def test_integrals_fading_closed_form_vs_quadrature():
     dist = fading_distribution(5.0)
     I = density_power_integrals(dist, 2)
-    assert I.method == "closed-form"
     # independent quadrature of the squared density
     val, _ = integrate.dblquad(
         lambda z2, z1: float(dist.density(np.array([[z1, z2]]))[0]) ** 2,
         -0.5, 0.5, -0.5, 0.5, epsabs=1e-12, epsrel=1e-10,
     )
-    assert I.values[0] == pytest.approx(1.0, abs=1e-9)
-    assert I.values[1] == pytest.approx(val, rel=1e-7)
-
-
-def test_integrals_quadrature_path_matches_closed_form():
-    dist = fading_distribution(5.0)
-    bare = dist.__class__(
-        d=dist.d, density=dist.density, support_measure=1.0,
-        sampler=dist.sampler, gx=None, id="fading-bare",
-    )
-    I = density_power_integrals(bare, 2)
-    assert I.method == "quadrature"
-    assert I.values == pytest.approx(density_power_integrals(dist, 2).values, rel=1e-6)
+    assert I[0] == pytest.approx(1.0, abs=1e-9)
+    assert I[1] == pytest.approx(val, rel=1e-7)
 
 
 def test_integrals_log_convexity():
     # I_k^2 <= I_{k-1} I_{k+1} on closed-form cases
     for dist in (hole_distribution(0.3), fading_distribution(8.0)):
-        I = density_power_integrals(dist, 5).values
+        I = density_power_integrals(dist, 5)
         for k in range(1, 4):
             assert I[k] ** 2 <= I[k - 1] * I[k + 1] * (1 + 1e-12)
 

@@ -111,26 +111,21 @@ def test_lmmse_trace_equals_empirical_eta():
 
 
 def test_lmmse_primal_dual_agreement():
-    # same observation solved in both forms must agree
+    # the one solve agrees with an explicit inverse of B = gamma/beta E E^H + I
+    # for m below, at and above n^d; below n^d a smaller m x m (dual) system
+    # would also do, but the trace needs B^-1 in any case
     dist = uniform_distribution(1)
-    spec = generate_spectrum(6, 1, 1.0, seed=21)
-    gamma = 2.0
-    V_wide = build_vandermonde(dist, 6, 13, seed=22)   # m > n^d: primal
-    obs = observe(V_wide, spec, 1.0 / gamma, seed=23)
-    primal = lmmse(V_wide, obs)
-
-    # force the dual path on the same system by monkey-island: rebuild with
-    # m < n^d instead and compare both routes on that system
-    V_tall = build_vandermonde(dist, 6, 4, seed=24)
-    obs_t = observe(V_tall, spec, 1.0 / gamma, seed=25)
-    dual = lmmse(V_tall, obs_t)
-    E = V_tall.entries
-    nd, beta = 6, V_tall.beta
-    B = (gamma / beta) * (E @ E.conj().T) + np.eye(nd)
-    rhs = (gamma / np.sqrt(beta)) * (E @ obs_t.p)
-    a_hat_primal = np.linalg.solve(B, rhs)
-    assert np.allclose(dual.a_hat, a_hat_primal, atol=1e-9)
-    assert np.isfinite(primal.trace_mse)
+    nd, gamma = 6, 2.0
+    spec = generate_spectrum(nd, 1, 1.0, seed=21)
+    for m, seed in ((4, 24), (6, 26), (13, 22)):
+        V = build_vandermonde(dist, nd, m, seed=seed)
+        obs = observe(V, spec, 1.0 / gamma, seed=seed + 1)
+        res = lmmse(V, obs)
+        E, beta = V.entries, V.beta
+        B_inv = np.linalg.inv((gamma / beta) * (E @ E.conj().T) + np.eye(nd))
+        a_ref = B_inv @ ((gamma / np.sqrt(beta)) * (E @ obs.p))
+        assert res.a_hat == pytest.approx(a_ref, rel=1e-10, abs=0)
+        assert res.trace_mse == pytest.approx(np.trace(B_inv).real / nd, rel=1e-10, abs=0)
 
 
 def test_mse_monte_carlo_estimators_agree():

@@ -124,7 +124,7 @@ def test_fading_power_integral_consistency():
     )
     I = density_power_integrals(dist, 2)
     assert dist.support_measure * mean == pytest.approx(1.0, rel=1e-6)
-    assert dist.support_measure * second == pytest.approx(I.values[1], rel=1e-6)
+    assert dist.support_measure * second == pytest.approx(I[1], rel=1e-6)
 
 
 def test_fading_mse_gamma_zero_is_one():
