@@ -62,5 +62,6 @@ from .spectral import (  # noqa: F401
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
+    gram_matrix,
     transform_scaled_lsd,
 )

@@ -14,7 +14,14 @@ from typing import Optional
 import numpy as np
 
 from .sampling import SamplingDistribution
-from .spectral import DFoldVandermonde, _run_trials, build_vandermonde, multi_indices, trial_seed
+from .spectral import (
+    DFoldVandermonde,
+    _run_trials,
+    build_vandermonde,
+    gram_matrix,
+    multi_indices,
+    trial_seed,
+)
 
 # Condition-estimate bound above which LMMSE results carry a warning flag.
 COND_TOL = 1e12
@@ -80,7 +87,7 @@ def observe(V: DFoldVandermonde, spec: FieldSpectrum, sigma_n2: float, seed) -> 
         raise ValueError("sigma_n2 must be >= 0")
     if spec.n != V.n or spec.d != V.d:
         raise ValueError("field spectrum size does not match the matrix")
-    s = V.beta ** -0.5 * (V.entries.conj().T @ spec.a)
+    s = V.beta ** -0.5 * V.rmatvec(spec.a)
     if sigma_n2 > 0:
         rng = np.random.default_rng(seed)
         noise = _complex_normal(rng, V.m, sigma_n2)
@@ -96,7 +103,7 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     One LU solve of the n^d x n^d system B = sigma_n^-2 beta^-1 V V^H +
     sigma_a^-2 I on [rhs | I]: column 0 is the estimate, the rest is B^-1,
     the error covariance, whose trace gives trace_mse independently of any
-    eigendecomposition.
+    eigendecomposition.  V V^H is the Toeplitz Gram that the spectra use.
     """
     if not np.isfinite(obs.gamma) or obs.sigma_n2 <= 0:
         raise ValueError("lmmse needs sigma_n2 > 0 (finite gamma)")
@@ -104,10 +111,9 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     sigma_n2 = obs.sigma_n2
     nd = V.n ** V.d
     beta = V.beta
-    E = V.entries
 
-    B = (1.0 / (sigma_n2 * beta)) * (E @ E.conj().T) + (1.0 / sigma_a2) * np.eye(nd)
-    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * (E @ obs.p)
+    B = (1.0 / (sigma_n2 * beta)) * gram_matrix(V) + (1.0 / sigma_a2) * np.eye(nd)
+    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
     sol = np.linalg.solve(B, np.column_stack([rhs, np.eye(nd, dtype=complex)]))
     a_hat = sol[:, 0]
     trace_mse = float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2)

@@ -1,21 +1,24 @@
 """d-fold Vandermonde matrices, empirical spectra and eta-transforms.
 
-Builds the n^d x m sampling matrix V from random points, pools eigenvalues
-of V V^H over seeded trials into spectrum summaries (with the rank-deficiency
-atom at zero accounted separately), and applies the limiting-spectrum
-transform laws: support scaling, and the eta-transform mixture over the
-density-of-density g_x that yields the asymptotic MSE.
+Draws the points of the n^d x m sampling matrix V, builds V V^H from its
+multilevel Toeplitz structure, pools its eigenvalues over seeded trials into
+spectrum summaries (with the rank-deficiency atom at zero accounted
+separately), and applies the limiting-spectrum transform laws: support
+scaling, and the eta-transform mixture over the density-of-density g_x that
+yields the asymptotic MSE.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
@@ -48,19 +51,76 @@ def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
 
 
+def _powers(k, x: np.ndarray) -> np.ndarray:
+    """exp(-2*pi*i k x): one row per power k, one column per coordinate x."""
+    return np.exp(-2j * np.pi * np.multiply.outer(k, x))
+
+
+def _khatri_rao(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Column-wise Kronecker product; the last table's row index runs fastest."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = (out[:, None, :] * t[None, :, :]).reshape(-1, t.shape[1])
+    return out
+
+
 @dataclass(frozen=True)
 class DFoldVandermonde:
-    """Sampling matrix V with entries m^(-1/2) exp(-2*pi*i l.x_q)."""
+    """Sampling matrix V with entries m^(-1/2) exp(-2*pi*i l.x_q).
+
+    Only the points are stored.  The Gram V V^H comes from its multilevel
+    Toeplitz structure (gram_matrix), and the products V p and V^H a from
+    per-axis power tables, without forming V.
+    """
 
     n: int
     d: int
     m: int
     points: np.ndarray  # (m, d)
-    entries: np.ndarray  # (n^d, m) complex
 
     @property
     def beta(self) -> float:
         return self.n ** self.d / self.m
+
+    def power_tables(self, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Coarse and fine tables of z_q^j = exp(-2*pi*i j.x_q).
+
+        coarse[k] * fine[i] is the power at the flat position
+        k * len(fine) + i of the box j_d in [0, n), j_a in [0, n) for a < d
+        (or [-(n-1), n) if signed), axis d slowest and axis 1 fastest.  The
+        power j_d = k*b + r splits into a coarse z^(k b) and a fine z^r, with
+        b = ceil(sqrt(n)) for d = 1 and b = 1 otherwise; the fine table is the
+        Khatri-Rao product of z^r with the other axes' tables.  Every power
+        is one exp of its own phase, so no error accumulates along a
+        recurrence.  The positions past the box (k*b + r >= n) are padding.
+        """
+        n, x = self.n, self.points.T
+        b = math.isqrt(n - 1) + 1 if self.d == 1 else 1
+        fine = [_powers(np.arange(b), x[-1])]
+        for xa in reversed(x[:-1]):
+            t = _powers(np.arange(n), xa)
+            fine.append(np.concatenate([t[:0:-1].conj(), t]) if signed else t)
+        return _powers(np.arange(0, n, b), x[-1]), _khatri_rao(fine)
+
+    def matvec(self, p: np.ndarray) -> np.ndarray:
+        """V p, rows ordered by nu(l)."""
+        coarse, fine = self.power_tables(signed=False)
+        return ((coarse * p) @ fine.T).ravel()[: self.n ** self.d] / np.sqrt(self.m)
+
+    def rmatvec(self, a: np.ndarray) -> np.ndarray:
+        """V^H a, with a ordered by nu(l)."""
+        coarse, fine = self.power_tables(signed=False)
+        padded = np.zeros(coarse.shape[0] * fine.shape[0], dtype=complex)
+        padded[: a.size] = np.conj(a)
+        inner = padded.reshape(coarse.shape[0], -1) @ fine  # sum over the fine index
+        return np.einsum("kq,kq->q", coarse, inner).conj() / np.sqrt(self.m)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """V as an (n^d, m) array, rows ordered by nu(l): the Khatri-Rao
+        product of the tables."""
+        coarse, fine = self.power_tables(signed=False)
+        return _khatri_rao([coarse, fine])[: self.n ** self.d] / np.sqrt(self.m)
 
 
 def multi_indices(n: int, d: int) -> np.ndarray:
@@ -72,7 +132,7 @@ def multi_indices(n: int, d: int) -> np.ndarray:
 def build_vandermonde(
     dist: SamplingDistribution, n: int, m: int, seed
 ) -> DFoldVandermonde:
-    """Draw m points from dist and assemble V; deterministic in the seed."""
+    """Draw m points from dist for the n^d x m matrix V; deterministic in the seed."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if n ** dist.d > NDIM_CAP:
@@ -82,17 +142,33 @@ def build_vandermonde(
         raise ValueError(
             f"sampler for {dist.id} returned shape {points.shape}, wanted {(m, dist.d)}"
         )
-    L = multi_indices(n, dist.d)
-    phases = L @ points.T
-    entries = np.exp(-2j * np.pi * phases) / np.sqrt(m)
-    return DFoldVandermonde(n=n, d=dist.d, m=m, points=points, entries=entries)
+    return DFoldVandermonde(n=n, d=dist.d, m=m, points=points)
+
+
+def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
+    """V V^H, exactly Hermitian, from its multilevel Toeplitz structure.
+
+    Entry (l, l') is c(l - l') = m^-1 sum_q exp(-2*pi*i (l - l').x_q).  The
+    sums c(j) over the upper half of the box [-(n-1), n-1]^d (flat order,
+    axis d most significant) come from one product of V's signed tables;
+    the lower half is their conjugate, and a sliding window gathers the
+    Gram from c.
+    """
+    n, d = V.n, V.d
+    width = (2 * n - 1) ** (d - 1)  # flat length of one j_d slice
+    coarse, fine = V.power_tables(signed=True)
+    # c over j_d >= 0: it starts at j_d = 0 with the other axes at -(n-1)
+    slab = (coarse @ fine.T).ravel()[: n * width] / V.m
+    half = slab[(width - 1) // 2:]
+    c = np.concatenate([half[:0:-1].conj(), half]).reshape((2 * n - 1,) * d)
+    # window (s, k) of the reversed c is c(n - 1 - s - k); reversing s gives l - k
+    windows = sliding_window_view(c[(slice(None, None, -1),) * d], (n,) * d)
+    return np.ascontiguousarray(windows[(slice(None, None, -1),) * d].reshape(n ** d, n ** d))
 
 
 def gram_eigenvalues(V: DFoldVandermonde) -> np.ndarray:
     """Eigenvalues of V V^H, ascending, with tiny negatives clamped to zero."""
-    G = V.entries @ V.entries.conj().T
-    G = 0.5 * (G + G.conj().T)
-    lam = np.linalg.eigvalsh(G)
+    lam = np.linalg.eigvalsh(gram_matrix(V))
     floor = -EIG_TOL_REL * max(lam[-1], 1.0)
     if lam[0] < floor:
         raise RuntimeError(
@@ -118,6 +194,7 @@ class SpectrumSummary:
     distribution_id: str
     master_seed: Optional[int]
     atom_zero_mass: float  # fraction of stored samples classified as atom
+    atom: np.ndarray  # per sample: below ATOM_TOL_REL x its own trial's largest
     hist_edges: np.ndarray
     hist_density: np.ndarray  # integrates to 1 - total_atom_mass
     extra_zero_mass: float = 0.0
@@ -132,7 +209,7 @@ class SpectrumSummary:
 
     @property
     def atom_cut(self) -> float:
-        """Pooled atom/positive split point."""
+        """Pooled atom/positive split point (the spectrum comparison's cut)."""
         return ATOM_TOL_REL * float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
 
@@ -157,14 +234,18 @@ def summarize_eigenvalues(
     master_seed: Optional[int],
     bins="auto",
 ) -> SpectrumSummary:
-    """Pool per-trial eigenvalues into a SpectrumSummary (atom split per trial)."""
-    atom_count = 0
-    for lam in per_trial:
-        atom_count += int(np.sum(lam < ATOM_TOL_REL * lam[-1]))
-    pooled = np.sort(np.concatenate(per_trial))
-    atom_mass = atom_count / pooled.size
-    positives = pooled[pooled >= ATOM_TOL_REL * pooled[-1]]
-    edges, dens = _histogram(positives, bins, 1.0 - atom_mass)
+    """Pool per-trial eigenvalues into a SpectrumSummary.
+
+    One per-trial mask splits the samples: those below ATOM_TOL_REL x their
+    trial's largest eigenvalue make atom_zero_mass, and the rest, exactly,
+    make the histogram.
+    """
+    pooled = np.concatenate(per_trial)
+    atom = np.concatenate([lam < ATOM_TOL_REL * lam[-1] for lam in per_trial])
+    order = np.argsort(pooled, kind="stable")
+    pooled, atom = pooled[order], atom[order]
+    atom_mass = np.count_nonzero(atom) / pooled.size
+    edges, dens = _histogram(pooled[~atom], bins, 1.0 - atom_mass)
     return SpectrumSummary(
         eigenvalues=pooled,
         trials=len(per_trial),
@@ -174,6 +255,7 @@ def summarize_eigenvalues(
         distribution_id=distribution_id,
         master_seed=master_seed,
         atom_zero_mass=atom_mass,
+        atom=atom,
         hist_edges=edges,
         hist_density=dens,
     )
@@ -219,7 +301,8 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
     predict the spectrum under a support of measure c at aspect beta.
 
     The prediction adds mass (1 - c) at zero and maps each remaining sample
-    lambda -> lambda / c.
+    lambda -> lambda / c; the atom mask is the base's, since scaling a trial
+    keeps its own cut.
     """
     if not 0 < c <= 1:
         raise ValueError("c must be in (0, 1]")
@@ -231,9 +314,8 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
         return base
     scaled = base.eigenvalues / c
     extra = 1.0 - c + c * base.extra_zero_mass
-    positives = scaled[scaled >= ATOM_TOL_REL * scaled[-1]]
     positive_mass = (1.0 - extra) * (1.0 - base.atom_zero_mass)
-    edges, dens = _histogram(positives, bins, positive_mass)
+    edges, dens = _histogram(scaled[~base.atom], bins, positive_mass)
     return SpectrumSummary(
         eigenvalues=scaled,
         trials=base.trials,
@@ -243,6 +325,7 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
         distribution_id=f"scaled(c={c:g},{base.distribution_id})",
         master_seed=base.master_seed,
         atom_zero_mass=base.atom_zero_mass,
+        atom=base.atom,
         hist_edges=edges,
         hist_density=dens,
         extra_zero_mass=extra,

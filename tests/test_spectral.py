@@ -13,6 +13,8 @@ from vanspec.sampling import (
     uniform_distribution,
 )
 from vanspec.spectral import (
+    ATOM_TOL_REL,
+    DFoldVandermonde,
     EtaTableRangeError,
     EtaUTable,
     aesd,
@@ -25,7 +27,9 @@ from vanspec.spectral import (
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
+    gram_matrix,
     multi_indices,
+    summarize_eigenvalues,
     transform_scaled_lsd,
 )
 from vanspec.scenarios import db_to_linear, fading_distribution, fading_gx, hole_distribution
@@ -101,6 +105,48 @@ def test_gram_two_point_closed_form():
     assert lam == pytest.approx([1 - 2 ** -0.5, 1 + 2 ** -0.5])
 
 
+# largest n per d for the Gram gate: n^d up to 64
+GATE_N = {1: 64, 2: 8, 3: 4}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, GATE_N[d]))),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([None, 0.0, 0.25]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_toeplitz_gram_matches_explicit(dn, side, mass, seed):
+    # the Toeplitz Gram, V p and V^H a against E E^H, E p and E^H a, with E
+    # built here as the oracle, for m below, at and above n^d, with and
+    # without point masses at 0 and 0.25
+    (d, n), nd = dn, dn[1] ** dn[0]
+    m = max(1, nd + side * (nd // 2 + 1))
+    rng = np.random.default_rng(seed)
+    x = rng.random((m, d)) - 0.5
+    if mass is not None:
+        x[rng.random(m) < 0.5] = mass
+    E = np.exp(-2j * np.pi * multi_indices(n, d) @ x.T) / np.sqrt(m)
+    V = DFoldVandermonde(n=n, d=d, m=m, points=x)
+    G = gram_matrix(V)
+    assert G.shape == (nd, nd)
+    assert np.array_equal(G, G.conj().T)
+    assert np.abs(G - E @ E.conj().T).max() <= 1e-12
+    p = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    a = rng.standard_normal(nd) + 1j * rng.standard_normal(nd)
+    assert np.abs(V.matvec(p) - E @ p).max() <= 1e-12 * np.abs(p).sum()
+    assert np.abs(V.rmatvec(a) - E.conj().T @ a).max() <= 1e-12 * np.abs(a).sum()
+
+
+def test_toeplitz_gram_point_masses():
+    # all samples at 0: every entry is 1; at 0.25 in 2-D: c(j) = (-i)^(j1+j2)
+    G = gram_matrix(DFoldVandermonde(n=5, d=1, m=3, points=np.zeros((3, 1))))
+    assert np.array_equal(G, np.ones((5, 5)))
+    G = gram_matrix(DFoldVandermonde(n=3, d=2, m=2, points=np.full((2, 2), 0.25)))
+    j = multi_indices(3, 2).sum(axis=1)
+    assert np.abs(G - (-1j) ** (j[:, None] - j[None, :])).max() < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -125,6 +171,33 @@ def test_aesd_histogram_mass_and_trace():
     widths = np.diff(s.hist_edges)
     assert np.sum(s.hist_density * widths) == pytest.approx(1 - s.total_atom_mass, rel=1e-9)
     assert empirical_moment(s, 1) == pytest.approx(1.0, abs=0.05)
+
+
+# Trial scales differ by 100x, so a pooled cut (1e-2) would drop the first
+# trial's 1e-3 from the histogram while its own cut (1e-4) keeps it.
+SPLIT_TRIALS = [np.array([1e-6, 1e-3, 1.0]), np.array([1e-4, 0.5, 100.0])]
+
+
+def test_atom_and_histogram_split_one_mask():
+    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, "test", None, bins=4)
+    positives = np.concatenate([lam[lam >= ATOM_TOL_REL * lam[-1]] for lam in SPLIT_TRIALS])
+    total = sum(lam.size for lam in SPLIT_TRIALS)
+    assert positives.size == 4
+    assert s.atom_zero_mass == (total - positives.size) / total
+    assert np.array_equal(np.sort(positives), s.eigenvalues[~s.atom])
+    counts, _ = np.histogram(positives, bins=s.hist_edges)
+    assert counts.sum() == positives.size
+    assert np.allclose(s.hist_density * np.diff(s.hist_edges), counts / total, rtol=1e-12)
+
+
+def test_transform_keeps_the_base_atom_mask():
+    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, "test", None, bins=4)
+    t = transform_scaled_lsd(base, 0.5, 2.0, bins=4)
+    assert np.array_equal(t.atom, base.atom)
+    counts, _ = np.histogram(t.eigenvalues[~t.atom], bins=t.hist_edges)
+    assert counts.sum() == np.count_nonzero(~base.atom) == 4
+    assert np.sum(t.hist_density * np.diff(t.hist_edges)) == pytest.approx(
+        1 - t.total_atom_mass, rel=1e-12)
 
 
 def test_aesd_hole_atom_mass():
