@@ -9,11 +9,11 @@ MSE follows by the eta-transform mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .sampling import (
     GxClosedForm,
@@ -51,7 +51,7 @@ class FadingScenario:
     def from_linear(cls, a: float) -> "FadingScenario":
         if a <= 0:
             raise ValueError("a must be > 0 (linear)")
-        b = a / (np.pi * erf(np.sqrt(a / 4.0)) ** 2)
+        b = a / (np.pi * math.erf(math.sqrt(a / 4.0)) ** 2)
         return cls(a=a, b=float(b))
 
 

@@ -10,17 +10,16 @@ yields the asymptotic MSE.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import ks_2samp
 
 from .sampling import GxRepresentation, SamplingDistribution
 
@@ -68,9 +67,9 @@ def _khatri_rao(tables: Sequence[np.ndarray]) -> np.ndarray:
 class DFoldVandermonde:
     """Sampling matrix V with entries m^(-1/2) exp(-2*pi*i l.x_q).
 
-    Only the points are stored.  The Gram V V^H comes from its multilevel
-    Toeplitz structure (gram_matrix), and the products V p and V^H a from
-    per-axis power tables, without forming V.
+    Holds the points and, once built, their per-axis power tables.  The Gram
+    V V^H comes from its multilevel Toeplitz structure (gram_matrix), and
+    the products V p and V^H a from the same tables, without forming V.
     """
 
     n: int
@@ -82,34 +81,41 @@ class DFoldVandermonde:
     def beta(self) -> float:
         return self.n ** self.d / self.m
 
-    def power_tables(self, signed: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Coarse and fine tables of z_q^j = exp(-2*pi*i j.x_q).
+    @functools.cached_property
+    def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coarse and fine tables of z_q^j = exp(-2*pi*i j.x_q), built once.
 
         coarse[k] * fine[i] is the power at the flat position
-        k * len(fine) + i of the box j_d in [0, n), j_a in [0, n) for a < d
-        (or [-(n-1), n) if signed), axis d slowest and axis 1 fastest.  The
-        power j_d = k*b + r splits into a coarse z^(k b) and a fine z^r, with
-        b = ceil(sqrt(n)) for d = 1 and b = 1 otherwise; the fine table is the
-        Khatri-Rao product of z^r with the other axes' tables.  Every power
-        is one exp of its own phase, so no error accumulates along a
-        recurrence.  The positions past the box (k*b + r >= n) are padding.
+        k * len(fine) + i of the box j_d in [0, n), j_a in [-(n-1), n) for
+        a < d, axis d slowest and axis 1 fastest.  The power j_d = k*b + r
+        splits into a coarse z^(k b) and a fine z^r, with b = ceil(sqrt(n))
+        for d = 1 and b = 1 otherwise; the fine table is the Khatri-Rao
+        product of z^r with the other axes' tables.  Every power is one exp
+        of its own phase, so no error accumulates along a recurrence.  The
+        positions past the box (k*b + r >= n) are padding.
         """
         n, x = self.n, self.points.T
         b = math.isqrt(n - 1) + 1 if self.d == 1 else 1
         fine = [_powers(np.arange(b), x[-1])]
         for xa in reversed(x[:-1]):
             t = _powers(np.arange(n), xa)
-            fine.append(np.concatenate([t[:0:-1].conj(), t]) if signed else t)
+            fine.append(np.concatenate([t[:0:-1].conj(), t]))
         return _powers(np.arange(0, n, b), x[-1]), _khatri_rao(fine)
+
+    def _box_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """power_tables with j_a in [0, n) for a < d: V's own rows."""
+        (coarse, fine), n, d = self.power_tables, self.n, self.d
+        box = (slice(None),) + (slice(n - 1, None),) * (d - 1)
+        return coarse, fine.reshape(-1, *(2 * n - 1,) * (d - 1), self.m)[box].reshape(-1, self.m)
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         """V p, rows ordered by nu(l)."""
-        coarse, fine = self.power_tables(signed=False)
+        coarse, fine = self._box_tables()
         return ((coarse * p) @ fine.T).ravel()[: self.n ** self.d] / np.sqrt(self.m)
 
     def rmatvec(self, a: np.ndarray) -> np.ndarray:
         """V^H a, with a ordered by nu(l)."""
-        coarse, fine = self.power_tables(signed=False)
+        coarse, fine = self._box_tables()
         padded = np.zeros(coarse.shape[0] * fine.shape[0], dtype=complex)
         padded[: a.size] = np.conj(a)
         inner = padded.reshape(coarse.shape[0], -1) @ fine  # sum over the fine index
@@ -119,7 +125,7 @@ class DFoldVandermonde:
     def entries(self) -> np.ndarray:
         """V as an (n^d, m) array, rows ordered by nu(l): the Khatri-Rao
         product of the tables."""
-        coarse, fine = self.power_tables(signed=False)
+        coarse, fine = self._box_tables()
         return _khatri_rao([coarse, fine])[: self.n ** self.d] / np.sqrt(self.m)
 
 
@@ -150,13 +156,13 @@ def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
 
     Entry (l, l') is c(l - l') = m^-1 sum_q exp(-2*pi*i (l - l').x_q).  The
     sums c(j) over the upper half of the box [-(n-1), n-1]^d (flat order,
-    axis d most significant) come from one product of V's signed tables;
+    axis d most significant) come from one product of V's power tables;
     the lower half is their conjugate, and a sliding window gathers the
     Gram from c.
     """
     n, d = V.n, V.d
     width = (2 * n - 1) ** (d - 1)  # flat length of one j_d slice
-    coarse, fine = V.power_tables(signed=True)
+    coarse, fine = V.power_tables
     # c over j_d >= 0: it starts at j_d = 0 with the other axes at -(n-1)
     slab = (coarse @ fine.T).ravel()[: n * width] / V.m
     half = slab[(width - 1) // 2:]
@@ -332,6 +338,17 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
     )
 
 
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS statistic: the largest gap between the empirical CDFs
+    of a and b, both read on the pooled sample.  The gap is counted in
+    integers, so the result is the exact fraction rounded once."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    gap = (np.searchsorted(a, pooled, side="right") * b.size
+           - np.searchsorted(b, pooled, side="right") * a.size)
+    return int(np.abs(gap).max()) / (a.size * b.size)
+
+
 @dataclass(frozen=True)
 class ScaledLsdComparison:
     ks_distance: float
@@ -360,9 +377,8 @@ def compare_scaled_aesd(
 
     d_pos = direct.eigenvalues[direct.eigenvalues >= cut]
     t_pos = transformed.eigenvalues[transformed.eigenvalues >= cut]
-    ks = float(ks_2samp(d_pos, t_pos).statistic)
     return ScaledLsdComparison(
-        ks_distance=ks,
+        ks_distance=_ks_distance(d_pos, t_pos),
         atom_direct=atom_at(direct, cut),
         atom_transformed=atom_at(transformed, cut),
         cut=cut,
@@ -387,6 +403,42 @@ def _outside(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return ~((q >= grid[0] * (1 - ETA_RANGE_SLACK)) & (q <= grid[-1] * (1 + ETA_RANGE_SLACK)))
 
 
+def _pchip(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Monotone piecewise-cubic Hermite interpolant of y over nodes x, at q.
+
+    The nodes run along y's axis 0; q broadcasts against y's other axes, so
+    every trailing position is read at its own query.  Node slopes follow
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17(2), 1980): the weighted
+    harmonic mean of the side secants, zero at a sign change or a flat
+    side, Moler's clamped three-point rule at the ends (Numerical Computing
+    with MATLAB, 2004, pchiptx), and a straight line for two nodes.
+    """
+    h = np.diff(x).reshape(-1, *(1,) * (y.ndim - 1))
+    m = np.diff(y, axis=0) / h
+    if len(m) == 1:
+        s = np.concatenate([m, m])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # both ends at once: the one-sided three-point slope, clamped to keep the shape
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        flip = np.sign(end) != np.sign(m0)
+        clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3 * np.abs(m0))
+        end = np.where(flip, 0.0, np.where(clamp, 3 * m0, end))
+        s = np.concatenate([end[:1], inner, end[1:]])
+    # the cubic on each interval in powers of (q - x[i])
+    t = (s[:-1] + s[1:] - 2 * m) / h
+    c = np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], y[:-1]])
+    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
+    pos = np.arange(m[0].size).reshape(m.shape[1:])  # flat index of each trailing position
+    c = c.reshape(4, -1)[:, i * pos.size + pos]
+    u = q - x[i]
+    return ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
+
+
 @dataclass
 class EtaUTable:
     """Empirical eta-transform of the uniform-phase spectrum on a grid.
@@ -403,13 +455,6 @@ class EtaUTable:
     beta_grid: np.ndarray
     gamma_grid: np.ndarray
     values: np.ndarray  # (len(beta_grid), len(gamma_grid))
-    _gamma_interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # one PCHIP per beta row, all rows in one interpolant along log gamma
-        self._gamma_interp = PchipInterpolator(
-            np.log(self.gamma_grid), self.values, axis=1, extrapolate=False
-        )
 
     def eta(self, beta, gamma):
         """eta_u at broadcasting (beta, gamma) arrays; a float for scalars.
@@ -433,18 +478,12 @@ class EtaUTable:
                     f"{name}={q[outside][0]:.5g} outside table range "
                     f"[{grid[0]:.5g}, {grid[-1]:.5g}]"
                 )
-        cols = self._gamma_interp(np.log(np.clip(g, gg[0], gg[-1])))  # (len(bg), k)
+        # (len(bg), k): every beta row read at every query's gamma
+        cols = _pchip(np.log(gg), self.values.T[:, :, None], np.log(np.clip(g, gg[0], gg[-1])))
         if len(bg) == 1:
             out[live] = cols[0]
-        else:
-            # the beta-axis PCHIP of every query column at once, as piecewise
-            # cubics c[:, interval, column] in powers of (log beta - knot)
-            poly = PchipInterpolator(np.log(bg), cols, axis=0, extrapolate=False)
-            lb = np.log(np.clip(b, bg[0], bg[-1]))
-            i = np.clip(np.searchsorted(poly.x, lb, side="right") - 1, 0, len(bg) - 2)
-            c = poly.c[:, i, np.arange(lb.size)]
-            t = lb - poly.x[i]
-            out[live] = ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+        else:  # each query's column at its own beta
+            out[live] = _pchip(np.log(bg), cols, np.log(np.clip(b, bg[0], bg[-1])))
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, beta, gamma):

@@ -2,9 +2,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import vanspec
 from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid, parse_float_list
 from vanspec.spectral import EtaUTable
 
@@ -259,3 +264,41 @@ def test_eta_table_reuse_rejects_mismatch(saved_table_run, tmp_path, capsys, fie
     err = capsys.readouterr().err
     assert f"table has {field}=" in err or f"table {field} range" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports vanspec from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vanspec.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a None entry makes every scipy import raise ImportError
+    res = _run_python(f"""
+        import json, sys
+        sys.modules["scipy"] = None
+        from vanspec import cli
+        out = {str(tmp_path)!r}
+        runs = [
+            ["mse", "--dist", "fading:a_db=5", "--d", "2", "--n", "4", "--beta", "0.4,0.8",
+             "--gamma-db", "0,10", "--trials", "3", "--table-trials", "3"],
+            ["scenario", "holes", "--c", "0.8", "--beta", "0.8", "--n", "24", "--trials", "4"],
+            ["moments", "--dist", "hole:c=0.8", "--d", "1", "--beta", "0.5", "--max-p", "3",
+             "--n", "16", "--trials", "2"],
+        ]
+        codes = [cli.main(["--threads", "1"] + argv + ["--out", f"{{out}}/{{i}}.csv"])
+                 for i, argv in enumerate(runs)]
+        print(json.dumps(codes))
+        """)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [0, 0, 0]
+    res = _run_python("""
+        import sys
+        import vanspec.cli
+        print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+        """)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

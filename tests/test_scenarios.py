@@ -6,7 +6,6 @@ from vanspec.moments import density_power_integrals
 from vanspec.sampling import (
     GxDiscreteAtoms,
     empirical_density_of_density,
-    sampler_chi2_pvalue,
     uniform_distribution,
 )
 from vanspec.scenarios import (
@@ -24,6 +23,8 @@ from vanspec.scenarios import (
     hole_mse,
     quadrant_hierarchy,
 )
+
+from helpers import sampler_chi2_pvalue
 
 
 # ---------------------------------------------------------------------------

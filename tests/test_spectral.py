@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
+from scipy.stats import ks_2samp
 
 from vanspec.moments import uniform_moment
 from vanspec.sampling import (
@@ -17,6 +20,8 @@ from vanspec.spectral import (
     DFoldVandermonde,
     EtaTableRangeError,
     EtaUTable,
+    _ks_distance,
+    _pchip,
     aesd,
     asymptotic_mse,
     build_eta_table,
@@ -436,6 +441,76 @@ def test_eta_table_array_lookup_rejects_bad_arguments():
         table.eta(np.array([0.6, 0.7]), np.array([2.0, -2.0]))
     # gamma == 0 is exactly 1 whatever beta is, as for scalars
     assert table.eta(np.array([0.6, -1.0]), 0.0).tolist() == [1.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# the numpy PCHIP and KS helpers against scipy
+
+
+def assert_pchip_matches_scipy(x, y):
+    """_pchip against PchipInterpolator at the nodes and between them, with
+    the nodes on axis 0 and each column read both at every query and at its
+    own query."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    q = np.concatenate([x, np.linspace(x[0], x[-1], 41)])
+    ref = PchipInterpolator(x, y, extrapolate=False)(q)
+    tol = dict(rtol=1e-13, atol=1e-13 * np.abs(y).max())
+    np.testing.assert_allclose(_pchip(x, y[:, None], q), ref, **tol)
+    cols = np.repeat(y[:, None], q.size, axis=1)
+    np.testing.assert_allclose(_pchip(x, cols, q), ref, **tol)
+
+
+PCHIP_CASES = {
+    "two nodes": ([0.3, 1.7], [2.0, -1.0]),
+    "flat runs": ([0, 1, 2, 3, 4, 5, 6], [1, 1, 1, 2, 2, 0.5, 0.5]),
+    "extrema": ([0.0, 0.4, 1.5, 1.7, 3.0], [0.0, 1.0, 0.2, 0.9, -0.3]),
+    "non-uniform": ([0.0, 0.1, 0.5, 2.0, 2.2, 5.0], [0.1, 0.15, 0.4, 0.41, 0.9, 1.0]),
+    # end slopes: the three-point estimate (3*1 - 5)/2 = -1 flips sign, so 0;
+    # (3*1 + 5)/2 = 4 exceeds 3*m0 across a sign change of the secants, so 3
+    "end flip": ([0, 1, 2], [0, 1, 6]),
+    "end clamp": ([0, 1, 2], [0, 1, -4]),
+}
+
+
+@pytest.mark.parametrize("case", PCHIP_CASES)
+def test_pchip_matches_scipy(case):
+    assert_pchip_matches_scipy(*PCHIP_CASES[case])
+
+
+def test_pchip_cases_hit_the_end_rules():
+    for case, end_slope in (("end flip", 0.0), ("end clamp", 3.0)):
+        x, y = PCHIP_CASES[case]
+        assert PchipInterpolator(x, y).derivative()(0.0) == end_slope
+
+
+@pytest.mark.filterwarnings("ignore:overflow")  # scipy's, on secants near 1e-308
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.01, 3.0), min_size=k - 1, max_size=k - 1),
+    st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=k, max_size=k),
+)))
+def test_pchip_matches_scipy_random(case):
+    # small integers make exact flat runs and sign changes common
+    gaps, y = case
+    assert_pchip_matches_scipy(np.cumsum([0.0, *gaps]), y)
+
+
+def exact_ks(a, b):
+    """KS statistic from exact fractions, rounded once."""
+    return float(max(abs(Fraction(sum(v <= t for v in a), len(a))
+                         - Fraction(sum(v <= t for v in b), len(b))) for t in a + b))
+
+
+@pytest.mark.filterwarnings("ignore:ks_2samp")  # about scipy's p-value only
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60),
+       st.lists(st.integers(0, 12), min_size=1, max_size=90))
+def test_ks_distance_matches_ks_2samp(a, b):
+    # ties across and within the samples, unequal sizes; scipy rounds the
+    # exact fraction too for samples of up to 10,000 values
+    got = _ks_distance(np.array(a, dtype=float), np.array(b, dtype=float))
+    assert got == ks_2samp(a, b).statistic
+    assert got == exact_ks(a, b)
 
 
 FIG3_BETAS = (0.2, 0.4, 0.6, 0.8)
