@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .moments import moment_table
-from .partitions import enumerate_partitions, is_noncrossing, vandermonde_coefficient
+from .partitions import P_MAX, enumerate_partitions, is_noncrossing, vandermonde_coefficient
 from .reconstruct import mse_monte_carlo
 from .sampling import SamplingDistribution, uniform_distribution
 from .scenarios import (
@@ -65,6 +65,19 @@ def parse_float_list(text: str) -> list[float]:
     if not vals:
         raise UsageError(f"empty float list {text!r}")
     return vals
+
+
+def check_betas(betas: list[float]) -> list[float]:
+    """Every aspect ratio must be finite and > 0 (m = n^d / beta)."""
+    bad = [b for b in betas if not 0 < b < float("inf")]
+    if bad:
+        raise UsageError(f"--beta must be finite and > 0, got {bad[0]:g}")
+    return betas
+
+
+def check_range(flag: str, value: int, hi: int) -> None:
+    if not 1 <= value <= hi:
+        raise UsageError(f"{flag} must be in 1..{hi}, got {value}")
 
 
 def parse_db_grid(text: str) -> list[float]:
@@ -275,8 +288,9 @@ def mixture_eta_table(args, dist: SamplingDistribution, betas: list[float],
 
 
 def cmd_partitions(args) -> int:
-    if args.p < 1:
-        raise UsageError("--p must be >= 1")
+    check_range("--p", args.p, P_MAX)
+    if args.k is not None:
+        check_range("--k", args.k, args.p)
     rows = []
     for q in enumerate_partitions(args.p, args.k):
         c = vandermonde_coefficient(q, "extrapolated-count")
@@ -287,6 +301,8 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    check_betas([args.beta])
+    check_range("--max-p", args.max_p, P_MAX)
     dist = load_distribution(args.dist, args.d)
     n = args.n or {1: 256, 2: 16, 3: 6}.get(args.d, 4)
     m = max(1, int(round(n ** args.d / args.beta)))
@@ -314,6 +330,7 @@ def _spectrum_rows(summary):
 
 
 def cmd_spectrum(args) -> int:
+    check_betas([args.beta])
     dist = load_distribution(args.dist, args.d)
     m = max(1, int(round(args.n ** args.d / args.beta)))
     summary = aesd(dist, args.n, m, args.trials, seed=args.seed,
@@ -333,7 +350,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_mse(args) -> int:
     dist = load_distribution(args.dist, args.d)
-    betas = parse_float_list(args.beta)
+    betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db,
                                       include_uniform_baseline=False)
@@ -369,7 +386,7 @@ def _by_curve(rows):
 
 def cmd_scenario_fading(args) -> int:
     dist = fading_distribution(args.a_db)
-    betas = parse_float_list(args.beta)
+    betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db)
     rows = []
@@ -394,7 +411,7 @@ def cmd_scenario_csma(args) -> int:
     else:
         hier = quadrant_hierarchy(parse_float_list(args.lambda1))
     prof = csma_success_profile(hier)
-    betas = parse_float_list(args.beta)
+    betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, prof.distribution, betas, gammas_db)
     rows = []
@@ -426,6 +443,7 @@ def _holes_summaries(c: float, beta: float, n: int, trials: int, seed: int, thre
 
 
 def cmd_scenario_holes(args) -> int:
+    check_betas([args.beta])
     direct, transformed, cmp = _holes_summaries(args.c, args.beta, args.n, args.trials,
                                                 args.seed, args.threads)
     rows = [("direct", *r) for r in _spectrum_rows(direct)]
@@ -440,7 +458,7 @@ def cmd_scenario_holes(args) -> int:
 
 def cmd_scenario_dense(args) -> int:
     dist = fading_distribution(args.a_db)
-    betas = parse_float_list(args.beta)
+    betas = check_betas(parse_float_list(args.beta))
     rows = []
     for beta in betas:
         m = max(1, int(round(args.n ** 2 / beta)))

@@ -7,6 +7,12 @@ integral that defines it reduces the integral to counting integer vectors
 (t_1..t_p) in {0..n-1}^p subject to one balance constraint per block, and
 v(omega) is the leading coefficient of that count as a polynomial in n.
 Noncrossing partitions always carry coefficient exactly 1.
+
+v(omega) is constant on each dihedral orbit of partitions.  The moment is a
+trace over a cyclic index sequence: rotating the partition is a cyclic shift
+of the trace, and reversing it is the conjugate transpose, which leaves the
+(real) trace unchanged.  So the coefficient cache is keyed by the orbit's
+representative, `canonical(labels)`, and each orbit is counted once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,12 @@ FIT_BASE_N = 8
 
 class LatticeFitError(RuntimeError):
     """Lattice counts failed to fit a degree-(p-k+1) polynomial exactly."""
+
+
+def _first_occurrence(labels) -> tuple[int, ...]:
+    """Relabel blocks 1, 2, ... in order of first occurrence."""
+    remap: dict = {}
+    return tuple(remap.setdefault(lab, len(remap) + 1) for lab in labels)
 
 
 @dataclass(frozen=True)
@@ -62,14 +74,7 @@ class SetPartition:
     @classmethod
     def from_labels(cls, labels) -> "SetPartition":
         """Build from an arbitrary labeling, relabeling canonically."""
-        labels = list(labels)
-        remap: dict = {}
-        canon = []
-        for lab in labels:
-            if lab not in remap:
-                remap[lab] = len(remap) + 1
-            canon.append(remap[lab])
-        return cls(tuple(canon))
+        return cls(_first_occurrence(labels))
 
     @classmethod
     def from_blocks(cls, blocks) -> "SetPartition":
@@ -286,6 +291,37 @@ def _leading_coefficient(xs: list[int], ys: list[int], degree: int) -> Fraction:
     return lead
 
 
+def canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Representative of the dihedral orbit of a labelling: the least
+    first-occurrence relabelling among its p rotations and p reflections."""
+    rotations = [labels[r:] + labels[:r] for r in range(len(labels))]
+    return min(_first_occurrence(image) for image in rotations + [rot[::-1] for rot in rotations])
+
+
+def _fit_coefficient(part: SetPartition) -> Fraction:
+    """v(omega) of this very partition, uncached: the exact rational
+    polynomial fit on lattice counts at n = FIT_BASE_N.. (degree p-k+1, one
+    extra point for validation).  Counts that are quasi-polynomial in n
+    (parity-dependent) are refit on even n only."""
+    if part.p > P_MAX:
+        raise ValueError(f"p={part.p} above counting cap {P_MAX}")
+    degree = part.p - part.k + 1
+    xs = list(range(FIT_BASE_N, FIT_BASE_N + degree + 2))
+    ys = [lattice_count(part, n) for n in xs]
+    try:
+        lead = _leading_coefficient(xs, ys, degree)
+    except LatticeFitError:
+        xs = list(range(FIT_BASE_N, FIT_BASE_N + 2 * (degree + 2), 2))
+        ys = [lattice_count(part, n) for n in xs]
+        lead = _leading_coefficient(xs, ys, degree)
+    if not 0 < lead <= 1:
+        raise LatticeFitError(
+            f"v({part}) = {lead} outside (0, 1]; counting bug suspected"
+        )
+    return lead
+
+
+# Counted coefficients, keyed by canonical(labels): one entry per orbit.
 _coefficient_cache: dict[tuple[int, ...], Fraction] = {}
 
 
@@ -296,34 +332,16 @@ def vandermonde_coefficient(
 
     method "noncrossing-shortcut" returns exactly 1 for noncrossing
     partitions and falls back to the fit otherwise; "extrapolated-count"
-    always runs the exact rational polynomial fit on lattice counts at
-    n = FIT_BASE_N.. (degree p-k+1, one extra point for validation).
-    Counts that are quasi-polynomial in n (parity-dependent) are refit on
-    even n only.
+    always fits lattice counts (`_fit_coefficient`), once per dihedral orbit.
     """
     if method not in ("noncrossing-shortcut", "extrapolated-count"):
         raise ValueError(f"unknown method {method!r}")
     if method == "noncrossing-shortcut" and is_noncrossing(part):
         # not cached: the cache holds counted values only
         return PartitionCoefficient(partition=part, value=1.0, rational=Fraction(1), exact=True)
-    key = part.labels
+    key = canonical(part.labels)
     if key not in _coefficient_cache:
-        if part.p > P_MAX:
-            raise ValueError(f"p={part.p} above counting cap {P_MAX}")
-        degree = part.p - part.k + 1
-        xs = list(range(FIT_BASE_N, FIT_BASE_N + degree + 2))
-        ys = [lattice_count(part, n) for n in xs]
-        try:
-            lead = _leading_coefficient(xs, ys, degree)
-        except LatticeFitError:
-            xs = list(range(FIT_BASE_N, FIT_BASE_N + 2 * (degree + 2), 2))
-            ys = [lattice_count(part, n) for n in xs]
-            lead = _leading_coefficient(xs, ys, degree)
-        if not 0 < lead <= 1:
-            raise LatticeFitError(
-                f"v({part}) = {lead} outside (0, 1]; counting bug suspected"
-            )
-        _coefficient_cache[key] = lead
+        _coefficient_cache[key] = _fit_coefficient(SetPartition(key))
     val = _coefficient_cache[key]
     return PartitionCoefficient(
         partition=part, value=float(val), rational=val, exact=True

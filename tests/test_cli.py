@@ -167,7 +167,22 @@ def _exit_code(argv):
      "empty float list ''"),
     (["moments", "--dist", "hole:c=2", "--d", "1", "--beta", "1", "--max-p", "2"],
      "bad --dist 'hole:c=2': c must be in (0, 1]"),
-], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range"])
+    (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "-1",
+      "--trials", "2"], "--beta must be finite and > 0, got -1"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "0", "--max-p", "2"],
+     "--beta must be finite and > 0, got 0"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5,-2", "--gamma-db", "0"],
+     "--beta must be finite and > 0, got -2"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "1", "--max-p", "8"],
+     "--max-p must be in 1..7, got 8"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "1", "--max-p", "0"],
+     "--max-p must be in 1..7, got 0"),
+    (["partitions", "--p", "8"], "--p must be in 1..7, got 8"),
+    (["partitions", "--p", "4", "--k", "0"], "--k must be in 1..4, got 0"),
+    (["partitions", "--p", "4", "--k", "5"], "--k must be in 1..4, got 5"),
+], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
+        "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
+        "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanspec import partitions
+from vanspec import moments, partitions
 from vanspec.partitions import (
     P_MAX,
     SetPartition,
+    _fit_coefficient,
     bell_number,
+    canonical,
     enumerate_partitions,
     is_noncrossing,
     lattice_count,
@@ -148,11 +150,14 @@ def test_lattice_count_single_block_is_n_to_p():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 5), st.data())
 def test_lattice_count_cyclic_rotation_invariant(p, n, data):
+    # the coefficient cache relies on both: one count per dihedral orbit
     parts = enumerate_partitions(p)
     q = data.draw(st.sampled_from(parts))
     r = data.draw(st.integers(1, p - 1))
     rotated = SetPartition.from_labels(q.labels[r:] + q.labels[:r])
+    reversed_ = SetPartition.from_labels(q.labels[::-1])
     assert lattice_count(q, n) == lattice_count(rotated, n)
+    assert lattice_count(q, n) == lattice_count(reversed_, n)
 
 
 def test_lattice_count_rejects_bad_n():
@@ -209,6 +214,72 @@ def test_crossing_coefficient_values_p5():
     # single crossing pair; spot-check one with an extra inert element
     c = vandermonde_coefficient(part([1, 3], [2, 4], [5]), "extrapolated-count")
     assert 0 < c.rational < 1
+
+
+def dihedral_images(labels):
+    rotations = [labels[r:] + labels[:r] for r in range(len(labels))]
+    return rotations + [rot[::-1] for rot in rotations]
+
+
+@pytest.mark.parametrize("p", range(1, P_MAX + 1))
+def test_canonical_is_one_representative_per_orbit(p):
+    for q in enumerate_partitions(p):
+        rep = canonical(q.labels)
+        assert SetPartition(rep).p == p
+        assert canonical(rep) == rep
+        images = dihedral_images(q.labels)
+        assert len(images) == 2 * p
+        assert {canonical(img) for img in images} == {rep}
+        assert rep in {SetPartition.from_labels(img).labels for img in images}
+
+
+def test_crossing_orbit_counts():
+    orbits = {
+        p: len({canonical(q.labels) for q in enumerate_partitions(p) if not is_noncrossing(q)})
+        for p in range(4, P_MAX + 1)
+    }
+    assert orbits == {4: 1, 5: 2, 6: 13, 7: 44}
+
+
+def test_direct_fit_matches_orbit_value(monkeypatch):
+    # every crossing partition with p <= 6 is counted as itself, with no
+    # canonicalisation, and must agree with the value cached for its orbit
+    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+    crossing = [q for p in range(1, 7) for q in enumerate_partitions(p) if not is_noncrossing(q)]
+    assert len(crossing) == 82
+    direct = [_fit_coefficient(q) for q in crossing]
+    assert not partitions._coefficient_cache
+    assert direct == [vandermonde_coefficient(q).rational for q in crossing]
+    assert len(partitions._coefficient_cache) == 1 + 2 + 13
+
+
+def test_cold_moment_sums_count_one_partition_per_orbit(monkeypatch):
+    calls = []
+
+    def counting(q, n):
+        calls.append((q.labels, n))
+        return lattice_count(q, n)
+
+    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+    monkeypatch.setattr(partitions, "lattice_count", counting)
+    moments._omega_sum.cache_clear()
+    try:
+        for p in range(1, P_MAX + 1):
+            for k in range(1, p + 1):
+                moments._omega_sum(p, k, 1)
+    finally:
+        moments._omega_sum.cache_clear()
+    assert len(calls) == 384
+    assert len(partitions._coefficient_cache) == 60
+
+
+def test_coefficient_keeps_callers_partition(monkeypatch):
+    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+    q = part([1, 4], [2, 5], [3])  # crossing, not its orbit's representative
+    assert canonical(q.labels) != q.labels
+    c = vandermonde_coefficient(q)
+    assert c.partition is q
+    assert c.rational == vandermonde_coefficient(SetPartition(canonical(q.labels))).rational
 
 
 def test_bad_method_rejected():
