@@ -104,15 +104,23 @@ def parse_db_grid(text: str) -> list[float]:
     return vals
 
 
-def parse_bins(text: str):
-    if text == "auto":
-        return "auto"
+def positive_int(text: str) -> int:
+    """A size such as --n, --trials or --table-trials: an integer >= 1."""
     try:
         if int(text) >= 1:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"want an integer >= 1 or 'auto', got {text!r}")
+    raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+
+
+def parse_bins(text: str):
+    if text == "auto":
+        return "auto"
+    try:
+        return positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1 or 'auto', got {text!r}")
 
 
 def load_hierarchy(payload: dict) -> ClusterHierarchy:
@@ -304,7 +312,7 @@ def cmd_moments(args) -> int:
     check_betas([args.beta])
     check_range("--max-p", args.max_p, P_MAX)
     dist = load_distribution(args.dist, args.d)
-    n = args.n or {1: 256, 2: 16, 3: 6}.get(args.d, 4)
+    n = args.n if args.n is not None else {1: 256, 2: 16, 3: 6}.get(args.d, 4)
     m = max(1, int(round(n ** args.d / args.beta)))
     analytic = moment_table(dist, args.d, args.beta, args.max_p)
     summary = aesd(dist, n, m, args.trials, seed=args.seed, threads=args.threads)
@@ -593,27 +601,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--max-p", type=int, required=True, dest="max_p")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--n", type=positive_int, default=None)
+    p.add_argument("--trials", type=positive_int, default=20)
     _add_outputs(p, cmd_moments)
 
     p = sub.add_parser("spectrum", help="average empirical spectral distribution")
     p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--bins", type=parse_bins, default="auto")
     _add_outputs(p, cmd_spectrum, svg=True)
 
     p = sub.add_parser("mse", help="simulated vs asymptotic reconstruction MSE")
     p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", required=True, help="comma-separated list")
     p.add_argument("--gamma-db", required=True, dest="gamma_db", help=GAMMA_DB_HELP)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--table-trials", type=int, default=50, dest="table_trials")
+    p.add_argument("--trials", type=positive_int, default=100)
+    p.add_argument("--table-trials", type=positive_int, default=50, dest="table_trials")
     _add_outputs(p, cmd_mse, svg=True)
 
     sc = sub.add_parser("scenario", help="canned loss scenarios")
@@ -623,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-db", type=float, required=True, dest="a_db")
     p.add_argument("--beta", default="0.2,0.4,0.6,0.8")
     p.add_argument("--gamma-db", default="-10:2:30", dest="gamma_db", help=GAMMA_DB_HELP)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--table-trials", type=int, default=50, dest="table_trials")
+    p.add_argument("--n", type=positive_int, default=10)
+    p.add_argument("--table-trials", type=positive_int, default=50, dest="table_trials")
     _add_outputs(p, cmd_scenario_fading, svg=True)
 
     p = scsub.add_parser("csma", help="clustered CSMA collection MSE curves")
@@ -633,28 +641,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="layer-1 loads for the default quadrant hierarchy")
     p.add_argument("--beta", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--gamma-db", default="0,10,20", dest="gamma_db")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--table-trials", type=int, default=50, dest="table_trials")
+    p.add_argument("--n", type=positive_int, default=10)
+    p.add_argument("--table-trials", type=positive_int, default=50, dest="table_trials")
     _add_outputs(p, cmd_scenario_csma, svg=True)
 
     p = scsub.add_parser("holes", help="scaled-support spectrum comparison")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--n", type=positive_int, default=100)
+    p.add_argument("--trials", type=positive_int, default=50)
     _add_outputs(p, cmd_scenario_holes)
 
     p = scsub.add_parser("dense", help="small-beta spectra vs the density of the density")
     p.add_argument("--a-db", type=float, required=True, dest="a_db")
     p.add_argument("--beta", default="0.5,0.1,0.01")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=positive_int, default=10)
+    p.add_argument("--trials", type=positive_int, default=100)
     _add_outputs(p, cmd_scenario_dense, svg=True)
 
     p = sub.add_parser("reproduce", help="canned desk-scale figure configurations")
     p.add_argument("figure", choices=list(FIGURES))
     p.add_argument("--out-dir", default=".", dest="out_dir")
-    p.add_argument("--table-trials", type=int, default=50, dest="table_trials")
+    p.add_argument("--table-trials", type=positive_int, default=50, dest="table_trials")
     _add_global_opts(p, suppress=True)
     p.set_defaults(func=cmd_reproduce)
 

@@ -20,6 +20,7 @@ from .spectral import (
     build_vandermonde,
     gram_matrix,
     multi_indices,
+    real_twin,
     trial_seed,
 )
 
@@ -100,10 +101,13 @@ def observe(V: DFoldVandermonde, spec: FieldSpectrum, sigma_n2: float, seed) -> 
 def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     """LMMSE estimate of the spectrum and the trace form of its error.
 
-    One LU solve of the n^d x n^d system B = sigma_n^-2 beta^-1 V V^H +
-    sigma_a^-2 I on [rhs | I]: column 0 is the estimate, the rest is B^-1,
-    the error covariance, whose trace gives trace_mse independently of any
-    eigendecomposition.  V V^H is the Toeplitz Gram that the spectra use.
+    The estimate solves B a = rhs with B = sigma_n^-2 beta^-1 V V^H +
+    sigma_a^-2 I, and B^-1, the error covariance, gives trace_mse
+    independently of any eigendecomposition.  V V^H is the Toeplitz Gram
+    that the spectra use, and B is solved as its real twin B_R = S^H B S
+    (see real_twin): one real LU solve of B_R X = [Re y | Im y | I] with
+    y = sqrt(2) S^H rhs = rhs - i J rhs, so a = S B_R^-1 S^H rhs =
+    (z + i J z) / 2 with z = X_0 + i X_1, and tr B^-1 = tr B_R^-1.
     """
     if not np.isfinite(obs.gamma) or obs.sigma_n2 <= 0:
         raise ValueError("lmmse needs sigma_n2 > 0 (finite gamma)")
@@ -112,11 +116,14 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     nd = V.n ** V.d
     beta = V.beta
 
-    B = (1.0 / (sigma_n2 * beta)) * gram_matrix(V) + (1.0 / sigma_a2) * np.eye(nd)
+    R = real_twin(gram_matrix(V))
+    B_R = (1.0 / (sigma_n2 * beta)) * R + (1.0 / sigma_a2) * np.eye(nd)
     rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
-    sol = np.linalg.solve(B, np.column_stack([rhs, np.eye(nd, dtype=complex)]))
-    a_hat = sol[:, 0]
-    trace_mse = float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2)
+    y = rhs - 1j * rhs[::-1]
+    X = np.linalg.solve(B_R, np.column_stack([y.real, y.imag, np.eye(nd)]))
+    z = X[:, 0] + 1j * X[:, 1]
+    a_hat = (z + 1j * z[::-1]) / 2
+    trace_mse = float(np.trace(X[:, 2:])) / (nd * sigma_a2)
 
     if obs.field is not None:
         err = obs.field.a - a_hat

@@ -172,9 +172,24 @@ def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
     return np.ascontiguousarray(windows[(slice(None, None, -1),) * d].reshape(n ** d, n ** d))
 
 
+def real_twin(G: np.ndarray) -> np.ndarray:
+    """Re G - (Im G) J, the real symmetric matrix S^H G S of the Gram G.
+
+    J reverses the flat index, r -> n^d - 1 - r, which takes the
+    multi-index l to n - 1 - l; S = (I + iJ)/sqrt(2) is unitary.  So
+    (J G J)[l, l'] = c(l' - l) = conj G[l, l'] for every d: G is
+    centro-Hermitian, and S^H G S = Re G + i (G J - J G)/2 = Re G - (Im G) J
+    is real, with G's eigenvalues (A. Lee, Linear Algebra Appl. 29, 1980).
+    Entry (l, l') of (Im G) J is Im c(l + l' - (n-1)), read from the same c
+    for both triangles, so the twin is exactly symmetric.
+    """
+    return G.real - G.imag[:, ::-1]
+
+
 def gram_eigenvalues(V: DFoldVandermonde) -> np.ndarray:
-    """Eigenvalues of V V^H, ascending, with tiny negatives clamped to zero."""
-    lam = np.linalg.eigvalsh(gram_matrix(V))
+    """Eigenvalues of V V^H, ascending, with tiny negatives clamped to zero;
+    solved in real arithmetic on the Gram's real twin."""
+    lam = np.linalg.eigvalsh(real_twin(gram_matrix(V)))
     floor = -EIG_TOL_REL * max(lam[-1], 1.0)
     if lam[0] < floor:
         raise RuntimeError(

@@ -130,6 +130,14 @@ def test_reproduce_unknown_figure():
     assert exc.value.code == 2
 
 
+def test_reproduce_table_trials_below_one_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig3", "--out-dir", str(tmp_path), "--table-trials", "0"])
+    assert exc.value.code == 2
+    assert "--table-trials: want an integer >= 1, got '0'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(tmp_path):
     rc = main(["moments", "--dist", "nosuchkind", "--d", "1", "--beta", "1",
                "--max-p", "2", "--out", str(tmp_path / "x.csv")])
@@ -180,9 +188,39 @@ def _exit_code(argv):
     (["partitions", "--p", "8"], "--p must be in 1..7, got 8"),
     (["partitions", "--p", "4", "--k", "0"], "--k must be in 1..4, got 0"),
     (["partitions", "--p", "4", "--k", "5"], "--k must be in 1..4, got 5"),
+    (["spectrum", "--dist", "uniform", "--n", "0", "--d", "1", "--beta", "0.5",
+      "--trials", "2"], "--n: want an integer >= 1, got '0'"),
+    (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5",
+      "--trials", "0"], "--trials: want an integer >= 1, got '0'"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "1", "--max-p", "2",
+      "--n", "0"], "--n: want an integer >= 1, got '0'"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "1", "--max-p", "2",
+      "--trials", "-1"], "--trials: want an integer >= 1, got '-1'"),
+    (["mse", "--dist", "uniform", "--n", "-2", "--d", "1", "--beta", "0.5", "--gamma-db", "0"],
+     "--n: want an integer >= 1, got '-2'"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db", "0",
+      "--trials", "0"], "--trials: want an integer >= 1, got '0'"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db", "0",
+      "--table-trials", "0"], "--table-trials: want an integer >= 1, got '0'"),
+    (["scenario", "fading", "--a-db", "5", "--n", "0"], "--n: want an integer >= 1, got '0'"),
+    (["scenario", "fading", "--a-db", "5", "--table-trials", "0"],
+     "--table-trials: want an integer >= 1, got '0'"),
+    (["scenario", "csma", "--n", "0"], "--n: want an integer >= 1, got '0'"),
+    (["scenario", "csma", "--table-trials", "0"], "--table-trials: want an integer >= 1, got '0'"),
+    (["scenario", "holes", "--c", "0.8", "--beta", "0.8", "--n", "0"],
+     "--n: want an integer >= 1, got '0'"),
+    (["scenario", "holes", "--c", "0.8", "--beta", "0.8", "--trials", "0"],
+     "--trials: want an integer >= 1, got '0'"),
+    (["scenario", "dense", "--a-db", "5", "--n", "0"], "--n: want an integer >= 1, got '0'"),
+    (["scenario", "dense", "--a-db", "5", "--trials", "0"],
+     "--trials: want an integer >= 1, got '0'"),
 ], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
         "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
-        "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p"])
+        "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p",
+        "spectrum-n-0", "spectrum-trials-0", "moments-n-0", "moments-trials-negative",
+        "mse-n-negative", "mse-trials-0", "mse-table-trials-0", "fading-n-0",
+        "fading-table-trials-0", "csma-n-0", "csma-table-trials-0", "holes-n-0",
+        "holes-trials-0", "dense-n-0", "dense-trials-0"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2

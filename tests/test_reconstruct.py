@@ -9,7 +9,10 @@ from vanspec.reconstruct import (
     synthesize_field,
 )
 from vanspec.sampling import uniform_distribution
+from vanspec.scenarios import hole_distribution
 from vanspec.spectral import build_vandermonde, gram_eigenvalues
+
+from helpers import lmmse_complex_reference
 
 
 def test_generate_spectrum_power_and_determinism():
@@ -126,6 +129,25 @@ def test_lmmse_primal_dual_agreement():
         a_ref = B_inv @ ((gamma / np.sqrt(beta)) * (E @ obs.p))
         assert res.a_hat == pytest.approx(a_ref, rel=1e-10, abs=0)
         assert res.trace_mse == pytest.approx(np.trace(B_inv).real / nd, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("d, n", [(1, 7), (1, 8), (2, 3), (2, 4), (3, 3), (3, 2)])
+def test_lmmse_real_twin_matches_complex_solve(d, n):
+    # the real solve on B's real twin against one complex LU solve of B on
+    # [rhs | I], for odd and even n^d, m below and above n^d, with and
+    # without a coverage hole, from -10 to 30 dB
+    nd = n ** d
+    for dist in (uniform_distribution(d), hole_distribution(0.5, d=d)):
+        for m in (max(1, nd // 2), 2 * nd + 1):
+            for k, gamma_db in enumerate(range(-10, 31, 10)):
+                V = build_vandermonde(dist, n, m, seed=(d, n, m, k))
+                spec = generate_spectrum(n, d, 1.0, seed=(d, n, m, k, 1))
+                obs = observe(V, spec, 10 ** (-gamma_db / 10), seed=(d, n, m, k, 2))
+                res, ref = lmmse(V, obs), lmmse_complex_reference(V, obs)
+                assert np.abs(res.a_hat - ref.a_hat).max() <= 1e-12 * np.abs(ref.a_hat).max()
+                assert res.trace_mse == pytest.approx(ref.trace_mse, rel=0, abs=1e-12)
+                assert res.normalized_error == pytest.approx(ref.normalized_error, rel=0, abs=1e-12)
+                assert res.ill_conditioned == ref.ill_conditioned
 
 
 def test_mse_monte_carlo_estimators_agree():

@@ -34,6 +34,7 @@ from vanspec.spectral import (
     gram_eigenvalues,
     gram_matrix,
     multi_indices,
+    real_twin,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
@@ -150,6 +151,45 @@ def test_toeplitz_gram_point_masses():
     G = gram_matrix(DFoldVandermonde(n=3, d=2, m=2, points=np.full((2, 2), 0.25)))
     j = multi_indices(3, 2).sum(axis=1)
     assert np.abs(G - (-1j) ** (j[:, None] - j[None, :])).max() < 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, GATE_N[d]))),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([None, 0.0, 0.25]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_real_twin_eigenvalues_match_complex(dn, side, mass, seed):
+    # the real twin is exactly symmetric, and its spectrum is the complex
+    # Gram's, for odd and even n, m below n^d (an atom at zero), at and above
+    (d, n), nd = dn, dn[1] ** dn[0]
+    m = max(1, nd + side * (nd // 2 + 1))
+    rng = np.random.default_rng(seed)
+    x = rng.random((m, d)) - 0.5
+    if mass is not None:
+        x[rng.random(m) < 0.5] = mass
+    V = DFoldVandermonde(n=n, d=d, m=m, points=x)
+    G = gram_matrix(V)
+    R = real_twin(G)
+    assert R.dtype == np.float64
+    assert np.array_equal(R, R.T)
+    ref = np.linalg.eigvalsh(G)
+    assert np.abs(gram_eigenvalues(V) - ref).max() <= 1e-12 * ref[-1]
+
+
+def test_aesd_eigensolves_are_real(monkeypatch):
+    # one real symmetric eigensolve per trial, through np.linalg.eigvalsh
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append((a.dtype, a.shape))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    aesd(uniform_distribution(2), 5, 40, trials=7, seed=3, threads=2)
+    assert calls == [(np.dtype(np.float64), (25, 25))] * 7
 
 
 # ---------------------------------------------------------------------------
