@@ -37,6 +37,7 @@ from .scenarios import (
     quadrant_hierarchy,
 )
 from .spectral import (
+    NDIM_CAP,
     EtaTableRangeError,
     EtaUTable,
     aesd,
@@ -104,14 +105,23 @@ def parse_db_grid(text: str) -> list[float]:
     return vals
 
 
-def positive_int(text: str) -> int:
-    """A size such as --n, --trials or --table-trials: an integer >= 1."""
+def int_at_least(text: str, lo: int) -> int:
+    """An integer >= lo: --threads (0) or a size such as --n (positive_int)."""
     try:
-        if int(text) >= 1:
+        if int(text) >= lo:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    raise argparse.ArgumentTypeError(f"want an integer >= {lo}, got {text!r}")
+
+
+positive_int = functools.partial(int_at_least, lo=1)
+
+
+def check_size(n: int, d: int) -> None:
+    """The Gram V V^H is n^d x n^d: refuse it above NDIM_CAP before any work."""
+    if n ** d > NDIM_CAP:
+        raise UsageError(f"--n {n} at d={d}: n^d = {n ** d} above desk-scale cap {NDIM_CAP}")
 
 
 def parse_bins(text: str):
@@ -313,6 +323,7 @@ def cmd_moments(args) -> int:
     check_range("--max-p", args.max_p, P_MAX)
     dist = load_distribution(args.dist, args.d)
     n = args.n if args.n is not None else {1: 256, 2: 16, 3: 6}.get(args.d, 4)
+    check_size(n, args.d)
     m = max(1, int(round(n ** args.d / args.beta)))
     analytic = moment_table(dist, args.d, args.beta, args.max_p)
     summary = aesd(dist, n, m, args.trials, seed=args.seed, threads=args.threads)
@@ -339,6 +350,7 @@ def _spectrum_rows(summary):
 
 def cmd_spectrum(args) -> int:
     check_betas([args.beta])
+    check_size(args.n, args.d)
     dist = load_distribution(args.dist, args.d)
     m = max(1, int(round(args.n ** args.d / args.beta)))
     summary = aesd(dist, args.n, m, args.trials, seed=args.seed,
@@ -357,6 +369,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_mse(args) -> int:
+    check_size(args.n, args.d)
     dist = load_distribution(args.dist, args.d)
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
@@ -393,6 +406,7 @@ def _by_curve(rows):
 
 
 def cmd_scenario_fading(args) -> int:
+    check_size(args.n, 2)
     dist = fading_distribution(args.a_db)
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
@@ -413,6 +427,7 @@ def cmd_scenario_fading(args) -> int:
 
 
 def cmd_scenario_csma(args) -> int:
+    check_size(args.n, 2)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             hier = load_hierarchy(json.load(fh))
@@ -452,6 +467,7 @@ def _holes_summaries(c: float, beta: float, n: int, trials: int, seed: int, thre
 
 def cmd_scenario_holes(args) -> int:
     check_betas([args.beta])
+    check_size(args.n, 1)
     direct, transformed, cmp = _holes_summaries(args.c, args.beta, args.n, args.trials,
                                                 args.seed, args.threads)
     rows = [("direct", *r) for r in _spectrum_rows(direct)]
@@ -465,6 +481,7 @@ def cmd_scenario_holes(args) -> int:
 
 
 def cmd_scenario_dense(args) -> int:
+    check_size(args.n, 2)
     dist = fading_distribution(args.a_db)
     betas = check_betas(parse_float_list(args.beta))
     rows = []
@@ -564,7 +581,8 @@ def _add_global_opts(parser: argparse.ArgumentParser, suppress: bool = False) ->
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--seed", type=int,
                         default=d if suppress else 42, help="master seed (default 42)")
-    parser.add_argument("--threads", type=int, default=d if suppress else 0,
+    parser.add_argument("--threads", type=functools.partial(int_at_least, lo=0),
+                        default=d if suppress else 0,
                         help="trial-level worker threads (0 = all cores); results do not depend on it")
     parser.add_argument("--eta-table", default=d if suppress else None, dest="eta_table",
                         help="path of a JSON eta_u table to reuse (built and saved when missing)")

@@ -1,12 +1,19 @@
 """Set partitions of {1..p} and their lattice-count coefficients.
 
 The p-th asymptotic moment of V V^H is a sum over set partitions, each
-weighted by a rational coefficient v(omega) in (0, 1].  v(omega) is obtained
-here by exact counting: expanding each Dirichlet-kernel factor of the torus
-integral that defines it reduces the integral to counting integer vectors
-(t_1..t_p) in {0..n-1}^p subject to one balance constraint per block, and
-v(omega) is the leading coefficient of that count as a polynomial in n.
-Noncrossing partitions always carry coefficient exactly 1.
+weighted by a rational coefficient v(omega) in (0, 1] (Ryan & Debbah, IEEE
+Trans. IT 55(7), 2009).  Expanding each Dirichlet-kernel factor of the torus
+integral that defines v(omega) reduces it to counting t in {0..n-1}^p with
+A t = 0, one balance row per block, and v(omega) is the leading coefficient
+of that count in n.  Noncrossing partitions always carry coefficient 1.
+
+Column i of A is +1 at block labels[i] and -1 at block labels[i+1], so A is
+the incidence matrix of a directed multigraph and totally unimodular.  The
+polytope Q = {x in [0,1]^p : A x = 0} is then integral, and the count is its
+Ehrhart polynomial L_Q(n - 1): a polynomial, never a quasi-polynomial, for
+every n >= 1, with L_Q(0) = 1, of degree dim Q = p - k + 1 (the cycle visits
+every block, and x = 1/2 is interior; Beck & Robins, Computing the Continuous
+Discretely, 2007, ch. 3).
 
 v(omega) is constant on each dihedral orbit of partitions.  The moment is a
 trace over a cyclic index sequence: rotating the partition is a cyclic shift
@@ -25,8 +32,6 @@ import numpy as np
 
 # Full enumeration / counting cap: Bell(7) = 877 partitions.
 P_MAX = 7
-# Smallest lattice size used by the polynomial extrapolation fit.
-FIT_BASE_N = 8
 
 
 class LatticeFitError(RuntimeError):
@@ -256,22 +261,6 @@ def lattice_count(part: SetPartition, n: int) -> int:
     return int(state) * scale
 
 
-def lattice_count_bruteforce(part: SetPartition, n: int) -> int:
-    """Direct enumeration over {0..n-1}^p; oracle for lattice_count."""
-    labels = part.labels
-    p = len(labels)
-    k = part.k
-    count = 0
-    for t in itertools.product(range(n), repeat=p):
-        bal = [0] * (k + 1)
-        for i in range(p):
-            bal[labels[i]] += t[i]
-            bal[labels[(i + 1) % p]] -= t[i]
-        if all(v == 0 for v in bal):
-            count += 1
-    return count
-
-
 def _leading_coefficient(xs: list[int], ys: list[int], degree: int) -> Fraction:
     """Leading coefficient of the degree-d interpolant through (xs, ys),
     validated against the extra supplied points.  Exact rationals."""
@@ -299,21 +288,15 @@ def canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _fit_coefficient(part: SetPartition) -> Fraction:
-    """v(omega) of this very partition, uncached: the exact rational
-    polynomial fit on lattice counts at n = FIT_BASE_N.. (degree p-k+1, one
-    extra point for validation).  Counts that are quasi-polynomial in n
-    (parity-dependent) are refit on even n only."""
+    """v(omega) of this very partition, uncached: the exact leading
+    coefficient of its Ehrhart polynomial, of degree D = p - k + 1 for every
+    n >= 1 (module docstring; Beck & Robins 2007, ch. 3), fit on the counts at
+    n = 1..D+1 and checked at n = D+2; counts off it raise LatticeFitError."""
     if part.p > P_MAX:
         raise ValueError(f"p={part.p} above counting cap {P_MAX}")
     degree = part.p - part.k + 1
-    xs = list(range(FIT_BASE_N, FIT_BASE_N + degree + 2))
-    ys = [lattice_count(part, n) for n in xs]
-    try:
-        lead = _leading_coefficient(xs, ys, degree)
-    except LatticeFitError:
-        xs = list(range(FIT_BASE_N, FIT_BASE_N + 2 * (degree + 2), 2))
-        ys = [lattice_count(part, n) for n in xs]
-        lead = _leading_coefficient(xs, ys, degree)
+    xs = list(range(1, degree + 3))
+    lead = _leading_coefficient(xs, [lattice_count(part, n) for n in xs], degree)
     if not 0 < lead <= 1:
         raise LatticeFitError(
             f"v({part}) = {lead} outside (0, 1]; counting bug suspected"

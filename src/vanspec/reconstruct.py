@@ -18,9 +18,8 @@ from .spectral import (
     DFoldVandermonde,
     _run_trials,
     build_vandermonde,
-    gram_matrix,
+    gram_twin,
     multi_indices,
-    real_twin,
     trial_seed,
 )
 
@@ -105,7 +104,7 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     sigma_a^-2 I, and B^-1, the error covariance, gives trace_mse
     independently of any eigendecomposition.  V V^H is the Toeplitz Gram
     that the spectra use, and B is solved as its real twin B_R = S^H B S
-    (see real_twin): one real LU solve of B_R X = [Re y | Im y | I] with
+    (see gram_twin): one real LU solve of B_R X = [Re y | Im y | I] with
     y = sqrt(2) S^H rhs = rhs - i J rhs, so a = S B_R^-1 S^H rhs =
     (z + i J z) / 2 with z = X_0 + i X_1, and tr B^-1 = tr B_R^-1.
     """
@@ -116,8 +115,7 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     nd = V.n ** V.d
     beta = V.beta
 
-    R = real_twin(gram_matrix(V))
-    B_R = (1.0 / (sigma_n2 * beta)) * R + (1.0 / sigma_a2) * np.eye(nd)
+    B_R = (1.0 / (sigma_n2 * beta)) * gram_twin(V) + (1.0 / sigma_a2) * np.eye(nd)
     rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
     y = rhs - 1j * rhs[::-1]
     X = np.linalg.solve(B_R, np.column_stack([y.real, y.imag, np.eye(nd)]))

@@ -68,7 +68,7 @@ class DFoldVandermonde:
     """Sampling matrix V with entries m^(-1/2) exp(-2*pi*i l.x_q).
 
     Holds the points and, once built, their per-axis power tables.  The Gram
-    V V^H comes from its multilevel Toeplitz structure (gram_matrix), and
+    V V^H and its real twin come from its multilevel Toeplitz structure, and
     the products V p and V^H a from the same tables, without forming V.
     """
 
@@ -151,16 +151,12 @@ def build_vandermonde(
     return DFoldVandermonde(n=n, d=dist.d, m=m, points=points)
 
 
-def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
-    """V V^H, exactly Hermitian, from its multilevel Toeplitz structure.
-
-    Entry (l, l') is c(l - l') = m^-1 sum_q exp(-2*pi*i (l - l').x_q).  The
-    sums c(j) over the upper half of the box [-(n-1), n-1]^d (flat order,
-    axis d most significant) come from one product of V's power tables;
-    the lower half is their conjugate, and a sliding window gathers the
-    Gram from c.
-    """
-    n, d = V.n, V.d
+def _gram_view(V: DFoldVandermonde) -> np.ndarray:
+    """T[l, l'] = c(l - l'), an (n,)*2d view of the sums c(j) = m^-1 sum_q
+    exp(-2*pi*i j.x_q) on the box [-(n-1), n-1]^d.  The upper half of c
+    (flat, axis d slowest) comes from one product of V's power tables, and
+    the lower half is its conjugate, so c(-j) = conj c(j) exactly."""
+    n, d, rev = V.n, V.d, (slice(None, None, -1),) * V.d
     width = (2 * n - 1) ** (d - 1)  # flat length of one j_d slice
     coarse, fine = V.power_tables
     # c over j_d >= 0: it starts at j_d = 0 with the other axes at -(n-1)
@@ -168,28 +164,33 @@ def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
     half = slab[(width - 1) // 2:]
     c = np.concatenate([half[:0:-1].conj(), half]).reshape((2 * n - 1,) * d)
     # window (s, k) of the reversed c is c(n - 1 - s - k); reversing s gives l - k
-    windows = sliding_window_view(c[(slice(None, None, -1),) * d], (n,) * d)
-    return np.ascontiguousarray(windows[(slice(None, None, -1),) * d].reshape(n ** d, n ** d))
+    return sliding_window_view(c[rev], (n,) * d)[rev]
 
 
-def real_twin(G: np.ndarray) -> np.ndarray:
-    """Re G - (Im G) J, the real symmetric matrix S^H G S of the Gram G.
+def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
+    """V V^H, exactly Hermitian, from its multilevel Toeplitz structure."""
+    return np.ascontiguousarray(_gram_view(V).reshape(V.n ** V.d, V.n ** V.d))
 
-    J reverses the flat index, r -> n^d - 1 - r, which takes the
-    multi-index l to n - 1 - l; S = (I + iJ)/sqrt(2) is unitary.  So
-    (J G J)[l, l'] = c(l' - l) = conj G[l, l'] for every d: G is
-    centro-Hermitian, and S^H G S = Re G + i (G J - J G)/2 = Re G - (Im G) J
-    is real, with G's eigenvalues (A. Lee, Linear Algebra Appl. 29, 1980).
-    Entry (l, l') of (Im G) J is Im c(l + l' - (n-1)), read from the same c
-    for both triangles, so the twin is exactly symmetric.
+
+def gram_twin(V: DFoldVandermonde) -> np.ndarray:
+    """Re G - (Im G) J, the real symmetric matrix S^H G S of G = V V^H.
+
+    J reverses the flat index (l -> n - 1 - l) and S = (I + iJ)/sqrt(2) is
+    unitary.  J G J = conj G for every d, so S^H G S = Re G + i (G J - J G)/2
+    = Re G - (Im G) J is real, with G's eigenvalues (A. Lee, Linear Algebra
+    Appl. 29, 1980).  Entry (l, l') is Re c(l - l') - Im c(l + l' - (n-1)):
+    the Toeplitz view of Re c minus, with l' reversed, the Hankel view of
+    Im c.  Neither is copied, and both triangles read one c, so the twin is
+    exactly symmetric.
     """
-    return G.real - G.imag[:, ::-1]
+    T, flip = _gram_view(V), (Ellipsis,) + (slice(None, None, -1),) * V.d
+    return np.subtract(T.real, T.imag[flip], order="C").reshape(V.n ** V.d, V.n ** V.d)
 
 
 def gram_eigenvalues(V: DFoldVandermonde) -> np.ndarray:
     """Eigenvalues of V V^H, ascending, with tiny negatives clamped to zero;
     solved in real arithmetic on the Gram's real twin."""
-    lam = np.linalg.eigvalsh(real_twin(gram_matrix(V)))
+    lam = np.linalg.eigvalsh(gram_twin(V))
     floor = -EIG_TOL_REL * max(lam[-1], 1.0)
     if lam[0] < floor:
         raise RuntimeError(

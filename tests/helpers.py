@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 from scipy import stats
 
@@ -22,6 +24,22 @@ def point_distribution(points):
         gx=None,
         id="fixed-points",
     )
+
+
+def lattice_count_bruteforce(part, n: int) -> int:
+    """Direct enumeration over {0..n-1}^p; oracle for lattice_count."""
+    labels = part.labels
+    p = len(labels)
+    k = part.k
+    count = 0
+    for t in itertools.product(range(n), repeat=p):
+        bal = [0] * (k + 1)
+        for i in range(p):
+            bal[labels[i]] += t[i]
+            bal[labels[(i + 1) % p]] -= t[i]
+        if all(v == 0 for v in bal):
+            count += 1
+    return count
 
 
 def grid_cell_masses(dist: SamplingDistribution, cells: int, subdiv: int = 8) -> np.ndarray:
@@ -63,6 +81,12 @@ def sampler_chi2_pvalue(
         return 0.0
     stat, p = stats.chisquare(observed[keep], expected[keep] * (observed[keep].sum() / expected[keep].sum()))
     return float(p)
+
+
+def real_twin(G: np.ndarray) -> np.ndarray:
+    """Re G - (Im G) J of a complex Gram G, J the flat-index reversal: the
+    reference for spectral.gram_twin, which builds it from c directly."""
+    return G.real - G.imag[:, ::-1]
 
 
 def lmmse_complex_reference(V, obs) -> LmmseResult:

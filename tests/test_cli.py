@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 import vanspec
+from vanspec import cli
 from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid, parse_float_list
 from vanspec.spectral import EtaUTable
 
@@ -214,18 +215,52 @@ def _exit_code(argv):
     (["scenario", "dense", "--a-db", "5", "--n", "0"], "--n: want an integer >= 1, got '0'"),
     (["scenario", "dense", "--a-db", "5", "--trials", "0"],
      "--trials: want an integer >= 1, got '0'"),
+    (["--threads", "-1", "partitions", "--p", "2"], "--threads: want an integer >= 0, got '-1'"),
+    (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5",
+      "--trials", "2", "--threads", "-2"], "--threads: want an integer >= 0, got '-2'"),
 ], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
         "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
         "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p",
         "spectrum-n-0", "spectrum-trials-0", "moments-n-0", "moments-trials-negative",
         "mse-n-negative", "mse-trials-0", "mse-table-trials-0", "fading-n-0",
         "fading-table-trials-0", "csma-n-0", "csma-table-trials-0", "holes-n-0",
-        "holes-trials-0", "dense-n-0", "dense-trials-0"])
+        "holes-trials-0", "dense-n-0", "dense-trials-0", "threads-negative",
+        "spectrum-threads-negative"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--dist", "uniform", "--d", "2", "--beta", "1", "--max-p", "7", "--n", "40"],
+    ["moments", "--dist", "uniform", "--d", "6", "--beta", "1", "--max-p", "2"],
+    ["spectrum", "--dist", "uniform", "--n", "11", "--d", "3", "--beta", "1", "--trials", "1"],
+    ["mse", "--dist", "uniform", "--n", "33", "--d", "2", "--beta", "1", "--gamma-db", "0"],
+    ["scenario", "fading", "--a-db", "5", "--n", "40"],
+    ["scenario", "csma", "--n", "33"],
+    ["scenario", "holes", "--c", "0.8", "--beta", "0.8", "--n", "1025"],
+    ["scenario", "dense", "--a-db", "5", "--n", "33"],
+], ids=["moments", "moments-default-n", "spectrum", "mse", "fading", "csma", "holes", "dense"])
+def test_size_above_cap_is_usage_error_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    # n^d above NDIM_CAP exits 2 before the moments, spectra, table or LMMSE start
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in ("moment_table", "aesd", "build_eta_table", "mse_monte_carlo"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "above desk-scale cap 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_size_at_cap_is_accepted():
+    cli.check_size(32, 2)
+    cli.check_size(1024, 1)
+    with pytest.raises(cli.UsageError):
+        cli.check_size(33, 2)
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from vanspec import moments, partitions
 from vanspec.partitions import (
     P_MAX,
+    LatticeFitError,
     SetPartition,
     _fit_coefficient,
+    _leading_coefficient,
     bell_number,
     canonical,
     enumerate_partitions,
     is_noncrossing,
     lattice_count,
-    lattice_count_bruteforce,
     stirling2,
     vandermonde_coefficient,
 )
+
+from helpers import lattice_count_bruteforce
 
 
 def part(*blocks):
@@ -160,6 +163,13 @@ def test_lattice_count_cyclic_rotation_invariant(p, n, data):
     assert lattice_count(q, n) == lattice_count(reversed_, n)
 
 
+def test_lattice_count_at_n_one_is_one():
+    # L_Q(0) = 1: only t = 0 lies in {0}^p
+    for p in range(1, P_MAX + 1):
+        for q in enumerate_partitions(p):
+            assert lattice_count(q, 1) == 1
+
+
 def test_lattice_count_rejects_bad_n():
     with pytest.raises(ValueError):
         lattice_count(part([1, 2]), 0)
@@ -271,6 +281,32 @@ def test_cold_moment_sums_count_one_partition_per_orbit(monkeypatch):
         moments._omega_sum.cache_clear()
     assert len(calls) == 384
     assert len(partitions._coefficient_cache) == 60
+    # the fit window is n = 1..D+2, D = p - k + 1
+    assert all(n <= len(labels) - max(labels) + 3 for labels, n in calls)
+
+
+def test_ehrhart_fit_matches_fit_at_large_n():
+    # the fit from n = 1 agrees with one on the window n = 8..D+9, where the
+    # counts are far from the small-n corner, on all 60 crossing orbits
+    orbits = {canonical(q.labels) for p in range(4, P_MAX + 1)
+              for q in enumerate_partitions(p) if not is_noncrossing(q)}
+    assert len(orbits) == 60
+    for labels in orbits:
+        q = SetPartition(labels)
+        degree = q.p - q.k + 1
+        xs = list(range(8, degree + 10))
+        far = _leading_coefficient(xs, [lattice_count(q, n) for n in xs], degree)
+        assert _fit_coefficient(q) == far
+
+
+def test_fit_rejects_counts_off_the_polynomial(monkeypatch):
+    # a count that leaves the degree-D polynomial at one n is an error, not a refit
+    def perturbed(q, n):
+        return lattice_count(q, n) + (n == 3)
+
+    monkeypatch.setattr(partitions, "lattice_count", perturbed)
+    with pytest.raises(LatticeFitError):
+        _fit_coefficient(part([1, 3], [2, 4]))
 
 
 def test_coefficient_keeps_callers_partition(monkeypatch):

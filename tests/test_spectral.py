@@ -33,14 +33,14 @@ from vanspec.spectral import (
     eta_u_table,
     gram_eigenvalues,
     gram_matrix,
+    gram_twin,
     multi_indices,
-    real_twin,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
 from vanspec.scenarios import db_to_linear, fading_distribution, fading_gx, hole_distribution
 
-from helpers import point_distribution
+from helpers import point_distribution, real_twin
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,9 @@ def test_toeplitz_gram_point_masses():
     st.integers(0, 2 ** 32 - 1),
 )
 def test_real_twin_eigenvalues_match_complex(dn, side, mass, seed):
-    # the real twin is exactly symmetric, and its spectrum is the complex
-    # Gram's, for odd and even n, m below n^d (an atom at zero), at and above
+    # the twin built from c is bitwise the twin of the complex Gram, exactly
+    # symmetric, and its spectrum is the complex Gram's, for odd and even n,
+    # m below n^d (an atom at zero), at and above
     (d, n), nd = dn, dn[1] ** dn[0]
     m = max(1, nd + side * (nd // 2 + 1))
     rng = np.random.default_rng(seed)
@@ -171,8 +172,9 @@ def test_real_twin_eigenvalues_match_complex(dn, side, mass, seed):
         x[rng.random(m) < 0.5] = mass
     V = DFoldVandermonde(n=n, d=d, m=m, points=x)
     G = gram_matrix(V)
-    R = real_twin(G)
-    assert R.dtype == np.float64
+    R = gram_twin(V)
+    assert np.array_equal(R, real_twin(G))
+    assert R.dtype == np.float64 and R.flags.c_contiguous
     assert np.array_equal(R, R.T)
     ref = np.linalg.eigvalsh(G)
     assert np.abs(gram_eigenvalues(V) - ref).max() <= 1e-12 * ref[-1]
