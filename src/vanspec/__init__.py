@@ -4,14 +4,12 @@ field-reconstruction error under lossy wireless sensor sampling."""
 __version__ = "0.1.0"
 
 from .moments import (  # noqa: F401
-    MomentTable,
     asymptotic_moment,
     density_power_integrals,
     moment_table,
     uniform_moment,
 )
 from .partitions import (  # noqa: F401
-    PartitionCoefficient,
     SetPartition,
     enumerate_partitions,
     is_noncrossing,
@@ -26,26 +24,20 @@ from .reconstruct import (  # noqa: F401
     lmmse,
     mse_monte_carlo,
     observe,
-    synthesize_field,
 )
 from .sampling import (  # noqa: F401
     GxClosedForm,
     GxDiscreteAtoms,
-    GxEmpirical,
     SamplingDistribution,
     uniform_distribution,
 )
 from .scenarios import (  # noqa: F401
     ClusterHierarchy,
-    FadingScenario,
     csma_success_profile,
     default_collision_model,
-    dense_limit,
     fading_distribution,
     fading_gx,
-    fading_mse,
     hole_distribution,
-    hole_mse,
     quadrant_hierarchy,
 )
 from .spectral import (  # noqa: F401
@@ -62,6 +54,5 @@ from .spectral import (  # noqa: F401
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
-    gram_matrix,
     transform_scaled_lsd,
 )

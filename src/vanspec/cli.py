@@ -133,6 +133,18 @@ def parse_bins(text: str):
         raise argparse.ArgumentTypeError(f"want an integer >= 1 or 'auto', got {text!r}")
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object in the file at path; anything else is a usage error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise UsageError(f"{path}: want a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def load_hierarchy(payload: dict) -> ClusterHierarchy:
     try:
         collision_cfg = payload.get("collision", {"type": "default"})
@@ -146,7 +158,7 @@ def load_hierarchy(payload: dict) -> ClusterHierarchy:
             lambda1=tuple(float(v) for v in payload["lambda1"]),
             collision_model=functools.partial(default_collision_model, params=params),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad hierarchy config: {exc}")
 
 
@@ -156,8 +168,7 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
     The distribution must have dimension d (the command's --d).
     """
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json_object(spec)
     else:
         name, _, argtext = spec.partition(":")
         payload = {"kind": name}
@@ -183,8 +194,7 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
         elif kind == "csma":
             hier_payload = payload.get("hierarchy")
             if hier_payload is None and "config" in payload:
-                with open(payload["config"], encoding="utf-8") as fh:
-                    hier_payload = json.load(fh)
+                hier_payload = read_json_object(payload["config"])
             if hier_payload is None:
                 raise UsageError("csma distribution needs a hierarchy")
             dist = csma_success_profile(load_hierarchy(hier_payload)).distribution
@@ -288,7 +298,10 @@ def mixture_eta_table(args, dist: SamplingDistribution, betas: list[float],
         g_span = [min(g_span[0], min(g_args)), max(g_span[1], max(g_args))]
     table_path = args.eta_table
     if table_path and os.path.exists(table_path):
-        table = EtaUTable.load(table_path)
+        try:
+            table = EtaUTable.load(table_path)
+        except ValueError as exc:
+            raise UsageError(f"--eta-table {table_path}: {exc}")
         _check_loaded_table(table, args, dist.d, b_span, g_span)
     else:
         table = build_eta_table(dist.d, args.n, tuple(b_span), tuple(g_span),
@@ -311,8 +324,8 @@ def cmd_partitions(args) -> int:
         check_range("--k", args.k, args.p)
     rows = []
     for q in enumerate_partitions(args.p, args.k):
-        c = vandermonde_coefficient(q, "extrapolated-count")
-        rows.append((str(q), q.k, is_noncrossing(q), str(c.rational), c.value))
+        v = vandermonde_coefficient(q, "extrapolated-count")
+        rows.append((str(q), q.k, is_noncrossing(q), str(v), float(v)))
     write_table(args.out, "partitions", {"p": args.p, "k": args.k}, args.seed,
                 ["partition", "k", "noncrossing", "v_exact", "v_float"], rows)
     return 0
@@ -329,7 +342,7 @@ def cmd_moments(args) -> int:
     summary = aesd(dist, n, m, args.trials, seed=args.seed, threads=args.threads)
     rows = []
     for p in range(1, args.max_p + 1):
-        ana = analytic.moments[p - 1]
+        ana = analytic[p - 1]
         emp = empirical_moment(summary, p)
         rows.append((p, ana, emp, abs(emp - ana) / ana if ana else float("nan")))
     config = {
@@ -429,8 +442,7 @@ def cmd_scenario_fading(args) -> int:
 def cmd_scenario_csma(args) -> int:
     check_size(args.n, 2)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            hier = load_hierarchy(json.load(fh))
+        hier = load_hierarchy(read_json_object(args.config))
     else:
         hier = quadrant_hierarchy(parse_float_list(args.lambda1))
     prof = csma_success_profile(hier)

@@ -11,7 +11,6 @@ uniform-phase values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -22,20 +21,11 @@ from .partitions import P_MAX, enumerate_partitions, vandermonde_coefficient
 from .sampling import SamplingDistribution
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    d: int
-    beta: float
-    moments: tuple[float, ...]
-    distribution_id: str
-    integrals: tuple[float, ...]  # I_1..I_P
-
-
 def density_power_integrals(dist: SamplingDistribution, P: int) -> tuple[float, ...]:
     """I_1..I_P, where I_k = int_H f(z)^k dz = |A| * int y^k g_x(y) dy.
 
     The integral over y is the weighted sum over g_x's nodes_weights, the
-    same rule as the g_x mixture: exact for atoms and histograms, and the
+    same rule as the g_x mixture: exact for atoms, and the
     fixed Gauss-Legendre rule for closed forms.
     """
     if P < 1:
@@ -51,7 +41,7 @@ def _omega_sum(p: int, k: int, d: int) -> Fraction:
     """Exact sum of v(omega)^d over all k-block partitions of {1..p}."""
     total = Fraction(0)
     for part in enumerate_partitions(p, k):
-        total += vandermonde_coefficient(part).rational ** d
+        total += vandermonde_coefficient(part) ** d
     return total
 
 
@@ -80,10 +70,9 @@ def uniform_moment(p: int, d: int, beta: float) -> float:
     return asymptotic_moment(p, d, beta, [1.0] * p)
 
 
-def moment_table(dist: SamplingDistribution, d: int, beta: float, P: int) -> MomentTable:
-    """Moments M_1..M_P for a sampling distribution; it needs a g_x."""
+def moment_table(dist: SamplingDistribution, d: int, beta: float, P: int) -> tuple[float, ...]:
+    """Moments (M_1, ..., M_P) for a sampling distribution; it needs a g_x."""
     if d != dist.d:
         raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
     I = density_power_integrals(dist, P)
-    ms = tuple(asymptotic_moment(p, d, beta, I) for p in range(1, P + 1))
-    return MomentTable(d=d, beta=beta, moments=ms, distribution_id=dist.id, integrals=I)
+    return tuple(asymptotic_moment(p, d, beta, I) for p in range(1, P + 1))

@@ -76,23 +76,6 @@ class SetPartition:
     def k(self) -> int:
         return max(self.labels)
 
-    @classmethod
-    def from_labels(cls, labels) -> "SetPartition":
-        """Build from an arbitrary labeling, relabeling canonically."""
-        return cls(_first_occurrence(labels))
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "SetPartition":
-        """Build from blocks of 1-based element positions."""
-        elems = sorted(e for b in blocks for e in b)
-        if elems != list(range(1, len(elems) + 1)):
-            raise ValueError(f"blocks {blocks} do not partition {{1..p}}")
-        labels = [0] * len(elems)
-        for b in blocks:
-            for e in b:
-                labels[e - 1] = min(b)
-        return cls.from_labels(labels)
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as tuples of 1-based element positions, ordered by label."""
         out: list[list[int]] = [[] for _ in range(self.k)]
@@ -102,41 +85,6 @@ class SetPartition:
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks())
-
-
-@dataclass(frozen=True)
-class PartitionCoefficient:
-    """Coefficient v(omega) with its exact rational value."""
-
-    partition: SetPartition
-    value: float
-    rational: Fraction
-    exact: bool
-
-
-def bell_number(p: int) -> int:
-    """Bell number B(p) via the Bell triangle."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    row = [1]
-    for _ in range(p):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def stirling2(p: int, k: int) -> int:
-    """Stirling number of the second kind S(p, k)."""
-    if k < 0 or k > p:
-        return 0
-    tbl = [[0] * (k + 1) for _ in range(p + 1)]
-    tbl[0][0] = 1
-    for i in range(1, p + 1):
-        for j in range(1, min(i, k) + 1):
-            tbl[i][j] = j * tbl[i - 1][j] + tbl[i - 1][j - 1]
-    return tbl[p][k]
 
 
 def enumerate_partitions(p: int, k: int | None = None) -> list[SetPartition]:
@@ -310,8 +258,8 @@ _coefficient_cache: dict[tuple[int, ...], Fraction] = {}
 
 def vandermonde_coefficient(
     part: SetPartition, method: str = "noncrossing-shortcut"
-) -> PartitionCoefficient:
-    """Coefficient v(omega) = lim_n lattice_count / n^(p-k+1).
+) -> Fraction:
+    """Coefficient v(omega) = lim_n lattice_count / n^(p-k+1), exactly.
 
     method "noncrossing-shortcut" returns exactly 1 for noncrossing
     partitions and falls back to the fit otherwise; "extrapolated-count"
@@ -321,11 +269,8 @@ def vandermonde_coefficient(
         raise ValueError(f"unknown method {method!r}")
     if method == "noncrossing-shortcut" and is_noncrossing(part):
         # not cached: the cache holds counted values only
-        return PartitionCoefficient(partition=part, value=1.0, rational=Fraction(1), exact=True)
+        return Fraction(1)
     key = canonical(part.labels)
     if key not in _coefficient_cache:
         _coefficient_cache[key] = _fit_coefficient(SetPartition(key))
-    val = _coefficient_cache[key]
-    return PartitionCoefficient(
-        partition=part, value=float(val), rational=val, exact=True
-    )
+    return _coefficient_cache[key]

@@ -19,7 +19,6 @@ from .spectral import (
     _run_trials,
     build_vandermonde,
     gram_twin,
-    multi_indices,
     trial_seed,
 )
 
@@ -68,17 +67,6 @@ def generate_spectrum(n: int, d: int, sigma_a2: float, seed) -> FieldSpectrum:
     rng = np.random.default_rng(seed)
     a = _complex_normal(rng, n ** d, sigma_a2)
     return FieldSpectrum(a=a, sigma_a2=sigma_a2, n=n, d=d)
-
-
-def synthesize_field(spec: FieldSpectrum, x) -> complex | np.ndarray:
-    """Field value n^(-d/2) sum_l a_nu(l) exp(+2*pi*i l.x) at point(s) x."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    L = multi_indices(spec.n, spec.d)
-    phases = pts @ L.T  # (q, n^d)
-    vals = (np.exp(2j * np.pi * phases) @ spec.a) * spec.n ** (-spec.d / 2)
-    return complex(vals[0]) if single else vals
 
 
 def observe(V: DFoldVandermonde, spec: FieldSpectrum, sigma_n2: float, seed) -> Observation:

@@ -70,25 +70,7 @@ class GxDiscreteAtoms:
         return y, area / area.sum()
 
 
-@dataclass(frozen=True)
-class GxEmpirical:
-    """Histogram of density values measured over a quadrature grid."""
-
-    edges: np.ndarray
-    masses: np.ndarray  # sums to 1
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.edges[0]), float(self.edges[-1])
-
-    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centers and masses of the bins that hold mass."""
-        keep = self.masses > 0
-        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        return centers[keep], self.masses[keep]
-
-
-GxRepresentation = Union[GxClosedForm, GxDiscreteAtoms, GxEmpirical]
+GxRepresentation = Union[GxClosedForm, GxDiscreteAtoms]
 
 
 @dataclass(frozen=True)
@@ -129,25 +111,3 @@ def uniform_distribution(d: int = 1) -> SamplingDistribution:
         id=f"uniform-d{d}",
     )
 
-
-def empirical_density_of_density(
-    dist: SamplingDistribution, cells_per_axis: int = 512, bins: int = 64
-) -> GxEmpirical:
-    """Measure g_x by evaluating the density on a regular grid over H.
-
-    Only grid cells inside the support contribute; masses are normalized by
-    the support measure so they sum to 1.
-    """
-    if dist.d > 2:
-        raise ValueError("grid measurement supported for d <= 2 only")
-    axis = (np.arange(cells_per_axis) + 0.5) / cells_per_axis - 0.5
-    if dist.d == 1:
-        pts = axis[:, None]
-    else:
-        z1, z2 = np.meshgrid(axis, axis)
-        pts = np.stack([z1.ravel(), z2.ravel()], axis=1)
-    vals = dist.density(pts)
-    vals = vals[vals > 0]
-    weights = np.full(vals.size, 1.0 / vals.size)
-    hist, edges = np.histogram(vals, bins=bins, weights=weights)
-    return GxEmpirical(edges=edges, masses=hist)

@@ -15,12 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sampling import (
-    GxClosedForm,
-    GxDiscreteAtoms,
-    GxRepresentation,
-    SamplingDistribution,
-)
+from .sampling import GxClosedForm, GxDiscreteAtoms, SamplingDistribution
 from .spectral import EtaCallable, asymptotic_mse
 
 
@@ -32,27 +27,13 @@ def db_to_linear(x_db: float) -> float:
 # fading
 
 
-@dataclass(frozen=True)
-class FadingScenario:
-    """Delivery through a Rayleigh-faded channel to a central sink.
-
-    a = threshold/unit-SNR ratio (linear); the delivered-sample density is
-    b*exp(-a*(z1^2+z2^2)) with b fixed by normalization over the unit square.
-    """
-
-    a: float
-    b: float
-
-    @classmethod
-    def from_db(cls, a_db: float) -> "FadingScenario":
-        return cls.from_linear(db_to_linear(a_db))
-
-    @classmethod
-    def from_linear(cls, a: float) -> "FadingScenario":
-        if a <= 0:
-            raise ValueError("a must be > 0 (linear)")
-        b = a / (np.pi * math.erf(math.sqrt(a / 4.0)) ** 2)
-        return cls(a=a, b=float(b))
+def _fading_b(a: float) -> float:
+    """Peak b of the delivered-sample density b*exp(-a*(z1^2+z2^2)), with
+    a = threshold/unit-SNR ratio (linear), fixed by normalization over the
+    unit square."""
+    if a <= 0:
+        raise ValueError("a must be > 0 (linear)")
+    return float(a / (np.pi * math.erf(math.sqrt(a / 4.0)) ** 2))
 
 
 def fading_gx(a: float) -> GxClosedForm:
@@ -61,8 +42,7 @@ def fading_gx(a: float) -> GxClosedForm:
     The middle branch accounts for the level circle of the density being
     clipped by the square region once its radius exceeds 1/2.
     """
-    sc = FadingScenario.from_linear(a)
-    b = sc.b
+    b = _fading_b(a)
     lo, brk, hi = b * np.exp(-a / 2.0), b * np.exp(-a / 4.0), b
 
     def density(y: np.ndarray) -> np.ndarray:
@@ -99,8 +79,8 @@ def fading_gx(a: float) -> GxClosedForm:
 
 def fading_distribution(a_db: float) -> SamplingDistribution:
     """Delivered-sample distribution over the unit square (d = 2)."""
-    sc = FadingScenario.from_db(a_db)
-    a, b = sc.a, sc.b
+    a = db_to_linear(a_db)
+    b = _fading_b(a)
 
     def density(z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(z)
@@ -126,11 +106,6 @@ def fading_distribution(a_db: float) -> SamplingDistribution:
         gx=fading_gx(a),
         id=f"fading-a{a_db:g}dB",
     )
-
-
-def fading_mse(a: float, beta: float, gamma: float, eta_u: EtaCallable) -> float:
-    """Asymptotic MSE under fading: integral of g_x(y) eta_u(beta/y, gamma*y/beta)."""
-    return asymptotic_mse(fading_gx(a), 1.0, 2, beta, gamma, eta_u)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +139,6 @@ def hole_distribution(c: float, d: int = 1) -> SamplingDistribution:
         gx=GxDiscreteAtoms(atoms=((1.0 / c, c),)),
         id=f"hole-c{c:g}-d{d}",
     )
-
-
-def hole_mse(c: float, d: int, beta: float, gamma: float, eta_u: EtaCallable) -> float:
-    """Asymptotic MSE with a coverage hole: 1 - c + c*eta_u(c*beta, gamma/(c*beta))."""
-    return asymptotic_mse(GxDiscreteAtoms(atoms=((1.0 / c, c),)), c, d, beta, gamma, eta_u)
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +318,3 @@ def quadrant_hierarchy(
         collision_model=collision_model,
     )
 
-
-# ---------------------------------------------------------------------------
-# massively dense limit
-
-
-@dataclass(frozen=True)
-class DenseLimit:
-    """beta -> 0 predictions: spectrum collapses onto the density of the
-    density; the MSE floor is the uncovered measure."""
-
-    atom_mass: float
-    gx: GxRepresentation
-    mse_floor: float
-
-    def lsd_density(self, z: np.ndarray) -> np.ndarray:
-        """Continuous part of the limiting spectrum, |A| * g_x(z)."""
-        if not isinstance(self.gx, GxClosedForm):
-            raise TypeError("closed-form g_x required for a density curve")
-        return (1.0 - self.atom_mass) * self.gx.density(np.asarray(z, dtype=float))
-
-
-def dense_limit(dist: SamplingDistribution) -> DenseLimit:
-    if dist.gx is None:
-        raise ValueError(f"distribution {dist.id} carries no g_x representation")
-    A = dist.support_measure
-    return DenseLimit(atom_mass=1.0 - A, gx=dist.gx, mse_floor=1.0 - A)

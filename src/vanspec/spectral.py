@@ -35,8 +35,11 @@ NDIM_CAP = 1024
 
 
 def _run_trials(worker: Callable[[int], object], trials: int, threads: Optional[int]):
-    """Run worker(0..trials-1), results in trial order regardless of schedule."""
-    if threads is None or threads <= 0:
+    """Run worker(0..trials-1), results in trial order regardless of schedule.
+    threads None or 0 means all cores; a negative count is an error."""
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+    if not threads:
         threads = os.cpu_count() or 1
     threads = min(threads, trials)
     if threads <= 1:
@@ -121,19 +124,6 @@ class DFoldVandermonde:
         inner = padded.reshape(coarse.shape[0], -1) @ fine  # sum over the fine index
         return np.einsum("kq,kq->q", coarse, inner).conj() / np.sqrt(self.m)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """V as an (n^d, m) array, rows ordered by nu(l): the Khatri-Rao
-        product of the tables."""
-        coarse, fine = self._box_tables()
-        return _khatri_rao([coarse, fine])[: self.n ** self.d] / np.sqrt(self.m)
-
-
-def multi_indices(n: int, d: int) -> np.ndarray:
-    """Row multi-indices l, ordered by nu(l) = sum_j n^(j-1) l_j."""
-    r = np.arange(n ** d)
-    return np.stack([(r // n ** j) % n for j in range(d)], axis=1)
-
 
 def build_vandermonde(
     dist: SamplingDistribution, n: int, m: int, seed
@@ -165,11 +155,6 @@ def _gram_view(V: DFoldVandermonde) -> np.ndarray:
     c = np.concatenate([half[:0:-1].conj(), half]).reshape((2 * n - 1,) * d)
     # window (s, k) of the reversed c is c(n - 1 - s - k); reversing s gives l - k
     return sliding_window_view(c[rev], (n,) * d)[rev]
-
-
-def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
-    """V V^H, exactly Hermitian, from its multilevel Toeplitz structure."""
-    return np.ascontiguousarray(_gram_view(V).reshape(V.n ** V.d, V.n ** V.d))
 
 
 def gram_twin(V: DFoldVandermonde) -> np.ndarray:
@@ -531,17 +516,31 @@ class EtaUTable:
 
     @classmethod
     def load(cls, path: str) -> "EtaUTable":
+        """Read a table written by save; ValueError names what is malformed:
+        a missing key, a grid that is not strictly increasing and positive,
+        a values shape other than (len(beta_grid), len(gamma_grid)), or a
+        value that is not finite."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return cls(
-            d=payload["d"],
-            n=payload["n"],
-            trials=payload["trials"],
-            seed=payload["seed"],
-            beta_grid=np.array(payload["beta_grid"]),
-            gamma_grid=np.array(payload["gamma_grid"]),
-            values=np.array(payload["values"]),
-        )
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        fields = ("d", "n", "trials", "seed", "beta_grid", "gamma_grid", "values")
+        for key in fields:
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
+        table = cls(**{k: payload[k] for k in fields[:4]},
+                    **{k: np.array(payload[k], dtype=float) for k in fields[4:]})
+        for name, grid in (("beta_grid", table.beta_grid), ("gamma_grid", table.gamma_grid)):
+            if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0))
+                    or np.any(np.diff(grid) <= 0)):
+                raise ValueError(f"{name} is not a strictly increasing list of positive numbers")
+        want = (table.beta_grid.size, table.gamma_grid.size)
+        if table.values.shape != want:
+            raise ValueError(f"values has shape {table.values.shape}, "
+                             f"want (len(beta_grid), len(gamma_grid)) = {want}")
+        if not np.all(np.isfinite(table.values)):
+            raise ValueError("values holds a number that is not finite")
+        return table
 
 
 def eta_u_table(
@@ -620,7 +619,7 @@ def eta_mixture(
     """eta_x(d, beta, gamma) = 1 - |A| + |A| * int g_x(y) eta_u(beta/y, gamma*y) dy.
 
     The integral is the finite weighted sum over g_x's nodes_weights: exact
-    for atoms and histograms, a fixed Gauss-Legendre rule for closed forms.
+    for atoms, a fixed Gauss-Legendre rule for closed forms.
     eta_u is called once, on all nodes together.
     """
     if gamma == 0.0:

@@ -1,11 +1,15 @@
+"""Reference implementations and fixtures the tests compare the package against."""
+
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from vanspec.reconstruct import COND_TOL, LmmseResult
+from vanspec.partitions import SetPartition, _first_occurrence
+from vanspec.reconstruct import COND_TOL, FieldSpectrum, LmmseResult
 from vanspec.sampling import SamplingDistribution
-from vanspec.spectral import gram_matrix
+from vanspec.spectral import DFoldVandermonde, _gram_view, _khatri_rao
 
 
 def point_distribution(points):
@@ -109,3 +113,128 @@ def lmmse_complex_reference(V, obs) -> LmmseResult:
         trace_mse=float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2),
         ill_conditioned=bool(1.0 + obs.gamma * nd / beta > COND_TOL),
     )
+
+
+# ---------------------------------------------------------------------------
+# partitions
+
+
+def bell_number(p: int) -> int:
+    """Bell number B(p) via the Bell triangle."""
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    row = [1]
+    for _ in range(p):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def stirling2(p: int, k: int) -> int:
+    """Stirling number of the second kind S(p, k)."""
+    if k < 0 or k > p:
+        return 0
+    tbl = [[0] * (k + 1) for _ in range(p + 1)]
+    tbl[0][0] = 1
+    for i in range(1, p + 1):
+        for j in range(1, min(i, k) + 1):
+            tbl[i][j] = j * tbl[i - 1][j] + tbl[i - 1][j - 1]
+    return tbl[p][k]
+
+
+def partition_from_labels(labels) -> SetPartition:
+    """Build from an arbitrary labeling, relabeling canonically."""
+    return SetPartition(_first_occurrence(labels))
+
+
+def partition_from_blocks(blocks) -> SetPartition:
+    """Build from blocks of 1-based element positions."""
+    elems = sorted(e for b in blocks for e in b)
+    if elems != list(range(1, len(elems) + 1)):
+        raise ValueError(f"blocks {blocks} do not partition {{1..p}}")
+    labels = [0] * len(elems)
+    for b in blocks:
+        for e in b:
+            labels[e - 1] = min(b)
+    return partition_from_labels(labels)
+
+
+# ---------------------------------------------------------------------------
+# matrices and fields
+
+
+def multi_indices(n: int, d: int) -> np.ndarray:
+    """Row multi-indices l, ordered by nu(l) = sum_j n^(j-1) l_j."""
+    r = np.arange(n ** d)
+    return np.stack([(r // n ** j) % n for j in range(d)], axis=1)
+
+
+def vandermonde_entries(V: DFoldVandermonde) -> np.ndarray:
+    """V as an (n^d, m) array, rows ordered by nu(l): the Khatri-Rao
+    product of the tables."""
+    coarse, fine = V._box_tables()
+    return _khatri_rao([coarse, fine])[: V.n ** V.d] / np.sqrt(V.m)
+
+
+def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
+    """V V^H, exactly Hermitian, from its multilevel Toeplitz structure."""
+    return np.ascontiguousarray(_gram_view(V).reshape(V.n ** V.d, V.n ** V.d))
+
+
+def synthesize_field(spec: FieldSpectrum, x) -> complex | np.ndarray:
+    """Field value n^(-d/2) sum_l a_nu(l) exp(+2*pi*i l.x) at point(s) x."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    L = multi_indices(spec.n, spec.d)
+    phases = pts @ L.T  # (q, n^d)
+    vals = (np.exp(2j * np.pi * phases) @ spec.a) * spec.n ** (-spec.d / 2)
+    return complex(vals[0]) if single else vals
+
+
+# ---------------------------------------------------------------------------
+# measured density of the density
+
+
+@dataclass(frozen=True)
+class GxEmpirical:
+    """Histogram of density values measured over a quadrature grid; the
+    mixture and the power integrals read it through nodes_weights."""
+
+    edges: np.ndarray
+    masses: np.ndarray  # sums to 1
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.edges[0]), float(self.edges[-1])
+
+    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and masses of the bins that hold mass."""
+        keep = self.masses > 0
+        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        return centers[keep], self.masses[keep]
+
+
+def empirical_density_of_density(
+    dist: SamplingDistribution, cells_per_axis: int = 512, bins: int = 64
+) -> GxEmpirical:
+    """Measure g_x by evaluating the density on a regular grid over H.
+
+    Only grid cells inside the support contribute; masses are normalized by
+    the support measure so they sum to 1.
+    """
+    if dist.d > 2:
+        raise ValueError("grid measurement supported for d <= 2 only")
+    axis = (np.arange(cells_per_axis) + 0.5) / cells_per_axis - 0.5
+    if dist.d == 1:
+        pts = axis[:, None]
+    else:
+        z1, z2 = np.meshgrid(axis, axis)
+        pts = np.stack([z1.ravel(), z2.ravel()], axis=1)
+    vals = dist.density(pts)
+    vals = vals[vals > 0]
+    weights = np.full(vals.size, 1.0 / vals.size)
+    hist, edges = np.histogram(vals, bins=bins, weights=weights)
+    return GxEmpirical(edges=edges, masses=hist)

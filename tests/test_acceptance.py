@@ -17,22 +17,19 @@ from scipy import integrate
 from vanspec.cli import main as cli_main
 from vanspec.moments import uniform_moment
 from vanspec.partitions import (
-    SetPartition,
     enumerate_partitions,
     is_noncrossing,
     lattice_count,
     vandermonde_coefficient,
 )
 from vanspec.reconstruct import generate_spectrum, lmmse, mse_monte_carlo, observe
-from vanspec.sampling import empirical_density_of_density, uniform_distribution
+from vanspec.sampling import uniform_distribution
 from vanspec.scenarios import (
-    FadingScenario,
     csma_success_profile,
     db_to_linear,
     fading_distribution,
     fading_gx,
     hole_distribution,
-    hole_mse,
     quadrant_hierarchy,
 )
 from vanspec.spectral import (
@@ -46,6 +43,8 @@ from vanspec.spectral import (
     gram_eigenvalues,
     transform_scaled_lsd,
 )
+
+from helpers import empirical_density_of_density, partition_from_blocks
 
 SEED = 42
 
@@ -151,10 +150,10 @@ def test_c01_lmmse_identity():
 def test_c02_moments_vs_monte_carlo():
     t0 = time.monotonic()
     # lattice-count oracle for the crossing coefficient, checked before use
-    crossing = SetPartition.from_blocks([[1, 3], [2, 4]])
+    crossing = partition_from_blocks([[1, 3], [2, 4]])
     for n in range(2, 11):
         assert lattice_count(crossing, n) == (2 * n ** 3 + n) // 3
-    assert vandermonde_coefficient(crossing, "extrapolated-count").rational == Fraction(2, 3)
+    assert vandermonde_coefficient(crossing, "extrapolated-count") == Fraction(2, 3)
 
     dist1, dist2 = uniform_distribution(1), uniform_distribution(2)
     worst = 0.0
@@ -184,9 +183,9 @@ def test_c03_noncrossing_law():
     for p in range(1, 7):
         for part in enumerate_partitions(p):
             c = vandermonde_coefficient(part, "extrapolated-count")
-            assert 0 < c.rational <= 1, f"v({part}) = {c.rational} outside (0,1]"
+            assert 0 < c <= 1, f"v({part}) = {c} outside (0,1]"
             if is_noncrossing(part):
-                assert c.rational == 1, f"noncrossing {part} has v = {c.rational}"
+                assert c == 1, f"noncrossing {part} has v = {c}"
             checked += 1
     assert report("3", True, f"{checked} partitions p <= 6: noncrossing => v = 1 "
                              "exactly, all v in (0,1]")
@@ -222,9 +221,10 @@ def test_c05a_floor_predicted(hole_table):
     worst_margin = np.inf
     corner = {}
     for c in (0.5, 0.8):
+        gx = hole_distribution(c).gx
         for beta in GRID_BETA:
             for gdb in GRID_GDB:
-                pred = hole_mse(c, 1, beta, db_to_linear(gdb), hole_table)
+                pred = asymptotic_mse(gx, c, 1, beta, db_to_linear(gdb), hole_table)
                 worst_margin = min(worst_margin, pred - (1 - c))
                 if beta == 0.01 and gdb == 30.0:
                     corner[c] = pred
@@ -302,12 +302,12 @@ def test_c06b_dense_limit_final(dense_l1):
 def test_c07_fading_closed_forms():
     worst_b = 0.0
     for a_db in (0.0, 5.0, 10.0):
-        sc = FadingScenario.from_db(a_db)
+        a = db_to_linear(a_db)
         quad_b, _ = integrate.dblquad(
-            lambda z2, z1: np.exp(-sc.a * (z1 ** 2 + z2 ** 2)),
+            lambda z2, z1: np.exp(-a * (z1 ** 2 + z2 ** 2)),
             -0.5, 0.5, -0.5, 0.5, epsabs=1e-13, epsrel=1e-12,
         )
-        worst_b = max(worst_b, abs(1.0 / sc.b - quad_b))
+        worst_b = max(worst_b, abs(1.0 / fading_gx(a).support[1] - quad_b))
     gx = fading_gx(db_to_linear(5.0))
     total, _ = integrate.quad(lambda y: float(gx.density(np.array([y]))[0]),
                               *gx.support, points=list(gx.breakpoints), limit=200)

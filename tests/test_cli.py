@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,8 @@ import vanspec
 from vanspec import cli
 from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid, parse_float_list
 from vanspec.spectral import EtaUTable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def read_rows(path):
@@ -103,6 +107,16 @@ def test_scenario_csma_with_config_file(tmp_path):
     meta, header, rows = read_rows(str(out))
     assert {r[0] for r in rows} == {"fu", "fx"}
     assert float(meta["p_s_1"]) < float(meta["p_s_2"])
+
+
+def test_csma_collision_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "hier.json"
+    cfg.write_text(json.dumps({"areas": [1.0], "H": 1, "m": [[2]], "lambda1": [0.1],
+                               "collision": ["default"]}))
+    out = tmp_path / "c.csv"
+    assert main(["scenario", "csma", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bad hierarchy config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_dense_and_svg(tmp_path):
@@ -354,6 +368,43 @@ def test_eta_table_reuse_rejects_mismatch(saved_table_run, tmp_path, capsys, fie
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("key, change, message", [
+    ("beta_grid", None, "missing key 'beta_grid'"),
+    ("values", lambda rows: rows[:-1], "values has shape"),
+    ("gamma_grid", lambda grid: grid[::-1], "gamma_grid is not a strictly increasing list"),
+    ("values", lambda rows: [[float("inf")] + rows[0][1:]] + rows[1:],
+     "values holds a number that is not finite"),
+], ids=["missing-beta-grid", "rows-one-short", "gamma-grid-reversed", "value-not-finite"])
+def test_eta_table_malformed_file_is_usage_error(saved_table_run, tmp_path, capsys, key, change,
+                                                 message):
+    table = json.loads(saved_table_run[0].read_text())
+    if change is None:
+        del table[key]
+    else:
+        table[key] = change(table[key])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    rc = main(["--eta-table", str(path)] + MSE_ARGV + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"--eta-table {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [("[1, 2]", "want a JSON object, got list"),
+                                           ("{", "not valid JSON")], ids=["list", "truncated"])
+@pytest.mark.parametrize("argv", [
+    ["moments", "--dist", "{file}", "--d", "1", "--beta", "1", "--max-p", "2"],
+    ["scenario", "csma", "--config", "{file}"],
+], ids=["dist", "csma-config"])
+def test_json_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main([a.format(file=path) for a in argv] + ["--out", str(out)]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports vanspec from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(vanspec.__file__)))
@@ -390,3 +441,28 @@ def test_runtime_needs_no_scipy(tmp_path):
         """)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_readme_library_tour_runs():
+    # the README's python block, as written, against this tree's API
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    res = _run_python(blocks[0])
+    assert res.returncode == 0, res.stderr
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # the benchmark patches these functions by name; install raises if one is gone
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = cli.write_table
+    patches = tracing.install(tracing.Recorder())
+    try:
+        assert len(patches) >= len(tracing.FUNCTIONS) + len(tracing.DISTRIBUTION_FACTORIES)
+        assert cli.write_table is not before
+    finally:
+        tracing.restore(patches)
+    assert cli.write_table is before

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,12 @@ from vanspec.reconstruct import (
     lmmse,
     mse_monte_carlo,
     observe,
-    synthesize_field,
 )
 from vanspec.sampling import uniform_distribution
 from vanspec.scenarios import hole_distribution
 from vanspec.spectral import build_vandermonde, gram_eigenvalues
 
-from helpers import lmmse_complex_reference
+from helpers import lmmse_complex_reference, synthesize_field, vandermonde_entries
 
 
 def test_generate_spectrum_power_and_determinism():
@@ -124,7 +125,7 @@ def test_lmmse_primal_dual_agreement():
         V = build_vandermonde(dist, nd, m, seed=seed)
         obs = observe(V, spec, 1.0 / gamma, seed=seed + 1)
         res = lmmse(V, obs)
-        E, beta = V.entries, V.beta
+        E, beta = vandermonde_entries(V), V.beta
         B_inv = np.linalg.inv((gamma / beta) * (E @ E.conj().T) + np.eye(nd))
         a_ref = B_inv @ ((gamma / np.sqrt(beta)) * (E @ obs.p))
         assert res.a_hat == pytest.approx(a_ref, rel=1e-10, abs=0)
@@ -169,6 +170,14 @@ def test_mse_monte_carlo_thread_invariance():
     b = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gamma=2.0, trials=6, seed=3, threads=3)
     assert a.mean_trace_mse == b.mean_trace_mse
     assert a.mean_normalized_error == b.mean_normalized_error
+
+
+def test_mse_monte_carlo_rejects_negative_threads_before_any_trial():
+    drawn = []
+    dist = dataclasses.replace(uniform_distribution(1), sampler=lambda seed, m: drawn.append(m))
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        mse_monte_carlo(dist, 8, 1, 10, gamma=2.0, trials=3, seed=3, threads=-1)
+    assert not drawn
 
 
 def test_mse_monte_carlo_rejects_bad_gamma():

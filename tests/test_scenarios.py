@@ -3,28 +3,20 @@ import pytest
 from scipy import integrate
 
 from vanspec.moments import density_power_integrals
-from vanspec.sampling import (
-    GxDiscreteAtoms,
-    empirical_density_of_density,
-    uniform_distribution,
-)
 from vanspec.scenarios import (
     ClusterHierarchy,
     CollisionParams,
-    FadingScenario,
     csma_success_profile,
     db_to_linear,
     default_collision_model,
-    dense_limit,
     fading_distribution,
     fading_gx,
-    fading_mse,
     hole_distribution,
-    hole_mse,
     quadrant_hierarchy,
 )
+from vanspec.spectral import asymptotic_mse
 
-from helpers import sampler_chi2_pvalue
+from helpers import empirical_density_of_density, sampler_chi2_pvalue
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +25,12 @@ from helpers import sampler_chi2_pvalue
 
 def test_fading_normalization_closed_form_vs_quadrature():
     for a_db in (0.0, 5.0, 10.0):
-        sc = FadingScenario.from_db(a_db)
+        a = db_to_linear(a_db)
         val, _ = integrate.dblquad(
-            lambda z2, z1: np.exp(-sc.a * (z1 ** 2 + z2 ** 2)),
+            lambda z2, z1: np.exp(-a * (z1 ** 2 + z2 ** 2)),
             -0.5, 0.5, -0.5, 0.5, epsabs=1e-12, epsrel=1e-11,
         )
-        assert 1.0 / sc.b == pytest.approx(val, abs=1e-8)
+        assert 1.0 / fading_gx(a).support[1] == pytest.approx(val, abs=1e-8)
         dist = fading_distribution(a_db)
         total, _ = integrate.dblquad(
             lambda z2, z1: float(dist.density(np.array([[z1, z2]]))[0]),
@@ -129,7 +121,7 @@ def test_fading_power_integral_consistency():
 
 
 def test_fading_mse_gamma_zero_is_one():
-    assert fading_mse(db_to_linear(5.0), 0.4, 0.0, lambda b, g: 0.5) == 1.0
+    assert asymptotic_mse(fading_gx(db_to_linear(5.0)), 1.0, 2, 0.4, 0.0, lambda b, g: 0.5) == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +137,11 @@ def small_eta_table():
 def test_fading_degrades_mse_and_worsens_with_beta(small_eta_table):
     # losses cost reconstruction quality at equal delivered-sample count,
     # and the penalty grows with the aspect ratio at high SNR
-    a = db_to_linear(5.0)
+    gx = fading_gx(db_to_linear(5.0))
     gaps = {}
     for beta in (0.2, 0.8):
         for gamma in (1.0, 100.0):
-            fx = fading_mse(a, beta, gamma, small_eta_table)
+            fx = asymptotic_mse(gx, 1.0, 2, beta, gamma, small_eta_table)
             fu = small_eta_table.eta(beta, gamma / beta)
             assert fx >= fu - 2e-3
             gaps[beta, gamma] = fx - fu
@@ -188,7 +180,7 @@ def test_hole_sampler_gof():
 
 def test_hole_mse_floor():
     c = 0.5
-    val = hole_mse(c, 1, 0.4, 10.0, lambda b, g: 1.0 / (1.0 + g))
+    val = asymptotic_mse(hole_distribution(c).gx, c, 1, 0.4, 10.0, lambda b, g: 1.0 / (1.0 + g))
     assert val > 1 - c
     # mixture collapses to 1 - c + c * eta_u(c*beta, gamma/(c*beta))
     assert val == pytest.approx((1 - c) + c / (1.0 + 10.0 / (0.4 * c)))
@@ -297,24 +289,3 @@ def test_cluster_hierarchy_validation():
     with pytest.raises(ValueError):
         ClusterHierarchy(areas=(0.5, 0.5), H=2, nodes=((2,), (2,)), lambda1=(0.1, 0.1))
 
-
-# ---------------------------------------------------------------------------
-# dense limit
-
-
-def test_dense_limit_uniform():
-    lim = dense_limit(uniform_distribution(2))
-    assert lim.mse_floor == 0.0
-    assert isinstance(lim.gx, GxDiscreteAtoms)
-
-
-def test_dense_limit_hole_floor():
-    lim = dense_limit(hole_distribution(0.5))
-    assert lim.mse_floor == pytest.approx(0.5)
-
-
-def test_dense_limit_fading_density_curve():
-    lim = dense_limit(fading_distribution(5.0))
-    gx = fading_gx(db_to_linear(5.0))
-    y = np.linspace(*gx.support, 64)[1:-1]
-    assert np.allclose(lim.lsd_density(y), gx.density(y))

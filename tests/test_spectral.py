@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
 from vanspec.moments import uniform_moment
-from vanspec.sampling import (
-    GxDiscreteAtoms,
-    GxEmpirical,
-    empirical_density_of_density,
-    uniform_distribution,
-)
+from vanspec.sampling import GxDiscreteAtoms, uniform_distribution
 from vanspec.spectral import (
     ATOM_TOL_REL,
     DFoldVandermonde,
@@ -32,15 +28,21 @@ from vanspec.spectral import (
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
-    gram_matrix,
     gram_twin,
-    multi_indices,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
 from vanspec.scenarios import db_to_linear, fading_distribution, fading_gx, hole_distribution
 
-from helpers import point_distribution, real_twin
+from helpers import (
+    GxEmpirical,
+    empirical_density_of_density,
+    gram_matrix,
+    multi_indices,
+    point_distribution,
+    real_twin,
+    vandermonde_entries,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -54,33 +56,33 @@ def test_multi_index_order():
 
 def test_build_zero_phase_column():
     V = build_vandermonde(point_distribution([[0.0]]), 2, 1, seed=0)
-    assert np.allclose(V.entries, [[1.0], [1.0]])
+    assert np.allclose(vandermonde_entries(V), [[1.0], [1.0]])
 
 
 def test_build_quarter_phase_column():
     V = build_vandermonde(point_distribution([[0.25]]), 2, 1, seed=0)
-    assert np.allclose(V.entries[:, 0], [1.0, -1j])
+    assert np.allclose(vandermonde_entries(V)[:, 0], [1.0, -1j])
 
 
 def test_build_modulus_and_row_order():
     rng = np.random.default_rng(7)
     pts = rng.random((3, 2)) - 0.5
     V = build_vandermonde(point_distribution(pts), 2, 3, seed=0)
-    assert V.entries.shape == (4, 3)
-    assert np.allclose(np.abs(V.entries), 1 / np.sqrt(3))
+    assert vandermonde_entries(V).shape == (4, 3)
+    assert np.allclose(np.abs(vandermonde_entries(V)), 1 / np.sqrt(3))
     # row nu = l1 + 2*l2
     for q in range(3):
         for l1 in (0, 1):
             for l2 in (0, 1):
                 expected = np.exp(-2j * np.pi * (l1 * pts[q, 0] + l2 * pts[q, 1])) / np.sqrt(3)
-                assert np.isclose(V.entries[l1 + 2 * l2, q], expected)
+                assert np.isclose(vandermonde_entries(V)[l1 + 2 * l2, q], expected)
 
 
 def test_build_deterministic_and_beta():
     dist = uniform_distribution(1)
     V1 = build_vandermonde(dist, 8, 10, seed=5)
     V2 = build_vandermonde(dist, 8, 10, seed=5)
-    assert np.array_equal(V1.entries, V2.entries)
+    assert np.array_equal(vandermonde_entries(V1), vandermonde_entries(V2))
     assert V1.beta == pytest.approx(0.8)
 
 
@@ -211,6 +213,18 @@ def test_aesd_thread_count_invariance():
     s1 = aesd(dist, 16, 20, trials=4, seed=11, threads=1)
     s2 = aesd(dist, 16, 20, trials=4, seed=11, threads=4)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+
+
+@pytest.mark.parametrize("threads", [-1, -3])
+def test_aesd_rejects_negative_threads_before_any_trial(threads):
+    drawn = []
+    dist = dataclasses.replace(uniform_distribution(1), sampler=lambda seed, m: drawn.append(m))
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        aesd(dist, 16, 20, trials=4, seed=11, threads=threads)
+    assert not drawn
+    # None and 0 still mean all cores
+    for ok in (None, 0):
+        assert aesd(uniform_distribution(1), 4, 4, trials=2, seed=0, threads=ok).trials == 2
 
 
 def test_aesd_histogram_mass_and_trace():
