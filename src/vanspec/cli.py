@@ -388,13 +388,13 @@ def cmd_mse(args) -> int:
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db,
                                       include_uniform_baseline=False)
+    gammas = [db_to_linear(gdb) for gdb in gammas_db]
     rows = []
     for beta in betas:
         m = max(1, int(round(args.n ** args.d / beta)))
-        for gdb in gammas_db:
-            gamma = db_to_linear(gdb)
-            est = mse_monte_carlo(dist, args.n, args.d, m, gamma,
-                                  trials=args.trials, seed=args.seed, threads=args.threads)
+        ests = mse_monte_carlo(dist, args.n, args.d, m, gammas,
+                               trials=args.trials, seed=args.seed, threads=args.threads)
+        for gdb, gamma, est in zip(gammas_db, gammas, ests):
             pred = asymptotic_mse(dist.gx, dist.support_measure, args.d, beta, gamma, eta)
             rows.append((beta, gdb, est.mean_normalized_error, est.mean_trace_mse,
                          pred, est.stderr_normalized_error))

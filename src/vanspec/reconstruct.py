@@ -9,7 +9,7 @@ identity can be verified numerically rather than by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .spectral import (
     DFoldVandermonde,
     _run_trials,
     build_vandermonde,
-    gram_twin,
     trial_seed,
 )
 
@@ -92,7 +91,8 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     sigma_a^-2 I, and B^-1, the error covariance, gives trace_mse
     independently of any eigendecomposition.  V V^H is the Toeplitz Gram
     that the spectra use, and B is solved as its real twin B_R = S^H B S
-    (see gram_twin): one real LU solve of B_R X = [Re y | Im y | I] with
+    (see gram_twin, read from V.lmmse_twin so that every SNR on one V shares
+    it): one real LU solve of B_R X = [Re y | Im y | I] with
     y = sqrt(2) S^H rhs = rhs - i J rhs, so a = S B_R^-1 S^H rhs =
     (z + i J z) / 2 with z = X_0 + i X_1, and tr B^-1 = tr B_R^-1.
     """
@@ -103,7 +103,7 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     nd = V.n ** V.d
     beta = V.beta
 
-    B_R = (1.0 / (sigma_n2 * beta)) * gram_twin(V) + (1.0 / sigma_a2) * np.eye(nd)
+    B_R = (1.0 / (sigma_n2 * beta)) * V.lmmse_twin + (1.0 / sigma_a2) * np.eye(nd)
     rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
     y = rhs - 1j * rhs[::-1]
     X = np.linalg.solve(B_R, np.column_stack([y.real, y.imag, np.eye(nd)]))
@@ -140,35 +140,50 @@ def mse_monte_carlo(
     n: int,
     d: int,
     m: int,
-    gamma: float,
+    gammas: Sequence[float],
     trials: int,
     seed: int,
     threads: Optional[int] = None,
-) -> MseEstimate:
-    """Average LMMSE error over independent (V, a, noise) draws at SNR gamma.
+) -> list[MseEstimate]:
+    """Average LMMSE error over independent (V, a, noise) draws, one
+    estimate per SNR in gammas.
 
+    Each trial draws its points, field spectrum and unit noise once and
+    observes and solves that one V at every gamma (common random numbers),
+    so each estimate equals a sweep over its gamma alone, bit for bit; the
+    stderr is per gamma, and the estimates are correlated across gamma.
     Both estimators (realized reconstruction error and the trace formula)
     target MSE^(n); their agreement is a consistency check.
     """
+    gammas = [float(g) for g in gammas]
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be positive and finite")
+    if not gammas:
+        raise ValueError("gammas must not be empty")
+    if not all(g > 0 and np.isfinite(g) for g in gammas):
+        raise ValueError(f"every gamma must be positive and finite, got {gammas}")
     if d != dist.d:
         raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
     sigma_a2 = 1.0
-    sigma_n2 = sigma_a2 / gamma
 
-    def one(t: int) -> tuple[float, float]:
+    def one(t: int) -> list[tuple[float, float]]:
         ss = trial_seed(seed, t)
         s_pts, s_field, s_noise = ss.spawn(3)
         V = build_vandermonde(dist, n, m, s_pts)
         spec = generate_spectrum(n, d, sigma_a2, s_field)
-        obs = observe(V, spec, sigma_n2, s_noise)
-        res = lmmse(V, obs)
-        return res.trace_mse, res.normalized_error
+        out = []
+        for gamma in gammas:
+            res = lmmse(V, observe(V, spec, sigma_a2 / gamma, s_noise))
+            out.append((res.trace_mse, res.normalized_error))
+        return out
 
-    results = np.array(_run_trials(one, trials, threads))
+    results = np.array(_run_trials(one, trials, threads))  # (trials, gamma, estimator)
+    return [_estimate(results[:, i]) for i in range(len(gammas))]
+
+
+def _estimate(results: np.ndarray) -> MseEstimate:
+    """Means and standard errors over the trials of (trace_mse, normalized_error) rows."""
+    trials = len(results)
     tr, er = results[:, 0], results[:, 1]
     return MseEstimate(
         mean_trace_mse=float(tr.mean()),

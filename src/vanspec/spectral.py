@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sampling import GxRepresentation, SamplingDistribution
 
@@ -105,6 +104,13 @@ class DFoldVandermonde:
             fine.append(np.concatenate([t[:0:-1].conj(), t]))
         return _powers(np.arange(0, n, b), x[-1]), _khatri_rao(fine)
 
+    @functools.cached_property
+    def lmmse_twin(self) -> np.ndarray:
+        """gram_twin(self), kept for the LMMSE solves that share it, one per
+        SNR.  The spectra call gram_twin directly, so that their twin is
+        freed with the eigensolve rather than with V."""
+        return gram_twin(self)
+
     def _box_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """power_tables with j_a in [0, n) for a < d: V's own rows."""
         (coarse, fine), n, d = self.power_tables, self.n, self.d
@@ -146,15 +152,16 @@ def _gram_view(V: DFoldVandermonde) -> np.ndarray:
     exp(-2*pi*i j.x_q) on the box [-(n-1), n-1]^d.  The upper half of c
     (flat, axis d slowest) comes from one product of V's power tables, and
     the lower half is its conjugate, so c(-j) = conj c(j) exactly."""
-    n, d, rev = V.n, V.d, (slice(None, None, -1),) * V.d
+    n, d = V.n, V.d
     width = (2 * n - 1) ** (d - 1)  # flat length of one j_d slice
     coarse, fine = V.power_tables
     # c over j_d >= 0: it starts at j_d = 0 with the other axes at -(n-1)
     slab = (coarse @ fine.T).ravel()[: n * width] / V.m
     half = slab[(width - 1) // 2:]
     c = np.concatenate([half[:0:-1].conj(), half]).reshape((2 * n - 1,) * d)
-    # window (s, k) of the reversed c is c(n - 1 - s - k); reversing s gives l - k
-    return sliding_window_view(c[rev], (n,) * d)[rev]
+    # from c(0) at the centre, step forward along l and back along l'
+    return np.ndarray((n,) * 2 * d, c.dtype, buffer=c, offset=(n - 1) * sum(c.strides),
+                      strides=c.strides + tuple(-s for s in c.strides))
 
 
 def gram_twin(V: DFoldVandermonde) -> np.ndarray:
@@ -412,8 +419,11 @@ def _pchip(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     Fritsch & Carlson (SIAM J. Numer. Anal. 17(2), 1980): the weighted
     harmonic mean of the side secants, zero at a sign change or a flat
     side, Moler's clamped three-point rule at the ends (Numerical Computing
-    with MATLAB, 2004, pchiptx), and a straight line for two nodes.
+    with MATLAB, 2004, pchiptx), and a straight line for two nodes.  One
+    node gives its own value (the range check keeps q at that node).
     """
+    if len(x) == 1:
+        return np.broadcast_to(y[0], np.broadcast_shapes(y.shape[1:], q.shape))
     h = np.diff(x).reshape(-1, *(1,) * (y.ndim - 1))
     m = np.diff(y, axis=0) / h
     if len(m) == 1:
@@ -481,10 +491,8 @@ class EtaUTable:
                 )
         # (len(bg), k): every beta row read at every query's gamma
         cols = _pchip(np.log(gg), self.values.T[:, :, None], np.log(np.clip(g, gg[0], gg[-1])))
-        if len(bg) == 1:
-            out[live] = cols[0]
-        else:  # each query's column at its own beta
-            out[live] = _pchip(np.log(bg), cols, np.log(np.clip(b, bg[0], bg[-1])))
+        # each query's column at its own beta
+        out[live] = _pchip(np.log(bg), cols, np.log(np.clip(b, bg[0], bg[-1])))
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, beta, gamma):
@@ -517,9 +525,10 @@ class EtaUTable:
     @classmethod
     def load(cls, path: str) -> "EtaUTable":
         """Read a table written by save; ValueError names what is malformed:
-        a missing key, a grid that is not strictly increasing and positive,
-        a values shape other than (len(beta_grid), len(gamma_grid)), or a
-        value that is not finite."""
+        a missing key, a d, n, trials or seed that is not an integer, a grid
+        that is not strictly increasing and positive, a values shape other
+        than (len(beta_grid), len(gamma_grid)), or a value that is not
+        finite."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
@@ -528,6 +537,9 @@ class EtaUTable:
         for key in fields:
             if key not in payload:
                 raise ValueError(f"missing key {key!r}")
+        for key in fields[:4]:
+            if not isinstance(payload[key], int) or isinstance(payload[key], bool):
+                raise ValueError(f"{key} must be an integer, got {payload[key]!r}")
         table = cls(**{k: payload[k] for k in fields[:4]},
                     **{k: np.array(payload[k], dtype=float) for k in fields[4:]})
         for name, grid in (("beta_grid", table.beta_grid), ("gamma_grid", table.gamma_grid)):

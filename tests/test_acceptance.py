@@ -329,19 +329,19 @@ def test_c07_fading_closed_forms():
 
 
 def _cross_validation_grid(fading_table, csma_profiles, csma_tables):
+    gdbs = (0.0, 10.0, 20.0)
+    gammas = [db_to_linear(gdb) for gdb in gdbs]
+    dist, prof = fading_distribution(5.0), csma_profiles["fig6"]
     rows = []
     for beta in (0.2, 0.4, 0.6, 0.8):
         m = int(round(100 / beta))
-        for gdb in (0.0, 10.0, 20.0):
-            gamma = db_to_linear(gdb)
-            dist = fading_distribution(5.0)
+        fading = mse_monte_carlo(dist, 10, 2, m, gammas, trials=100, seed=SEED + 8)
+        csma = mse_monte_carlo(prof.distribution, 10, 2, m, gammas, trials=100, seed=SEED + 9)
+        for gdb, gamma, f_est, c_est in zip(gdbs, gammas, fading, csma):
             pred = asymptotic_mse(dist.gx, 1.0, 2, beta, gamma, fading_table)
-            est = mse_monte_carlo(dist, 10, 2, m, gamma, trials=100, seed=SEED + 8)
-            rows.append(("fading", beta, gdb, pred, est.mean_trace_mse))
-            prof = csma_profiles["fig6"]
+            rows.append(("fading", beta, gdb, pred, f_est.mean_trace_mse))
             pred = prof.mse(beta, gamma, csma_tables["fig6"])
-            est = mse_monte_carlo(prof.distribution, 10, 2, m, gamma, trials=100, seed=SEED + 9)
-            rows.append(("csma", beta, gdb, pred, est.mean_trace_mse))
+            rows.append(("csma", beta, gdb, pred, c_est.mean_trace_mse))
     return rows
 
 

@@ -374,7 +374,12 @@ def test_eta_table_reuse_rejects_mismatch(saved_table_run, tmp_path, capsys, fie
     ("gamma_grid", lambda grid: grid[::-1], "gamma_grid is not a strictly increasing list"),
     ("values", lambda rows: [[float("inf")] + rows[0][1:]] + rows[1:],
      "values holds a number that is not finite"),
-], ids=["missing-beta-grid", "rows-one-short", "gamma-grid-reversed", "value-not-finite"])
+    ("n", str, "n must be an integer, got '"),
+    ("n", lambda n: True, "n must be an integer, got True"),
+    ("d", lambda d: None, "d must be an integer, got None"),
+    ("seed", float, "seed must be an integer, got "),
+], ids=["missing-beta-grid", "rows-one-short", "gamma-grid-reversed", "value-not-finite",
+        "n-string", "n-bool", "d-null", "seed-float"])
 def test_eta_table_malformed_file_is_usage_error(saved_table_run, tmp_path, capsys, key, change,
                                                  message):
     table = json.loads(saved_table_run[0].read_text())

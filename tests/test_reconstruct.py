@@ -151,35 +151,65 @@ def test_lmmse_real_twin_matches_complex_solve(d, n):
                 assert res.ill_conditioned == ref.ill_conditioned
 
 
+def counting(dist):
+    """dist with a sampler that records each call's m before drawing."""
+    drawn = []
+
+    def sampler(seed, m):
+        drawn.append(m)
+        return dist.sampler(seed, m)
+
+    return dataclasses.replace(dist, sampler=sampler), drawn
+
+
 def test_mse_monte_carlo_estimators_agree():
-    est = mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gamma=5.0, trials=60, seed=31)
+    [est] = mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gammas=[5.0], trials=60, seed=31)
     spread = 3 * (est.stderr_trace_mse + est.stderr_normalized_error)
     assert abs(est.mean_trace_mse - est.mean_normalized_error) <= max(spread, 0.02)
 
 
 def test_mse_monte_carlo_decreasing_in_gamma():
-    vals = [
-        mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gamma=g, trials=20, seed=5).mean_trace_mse
-        for g in (0.5, 2.0, 8.0, 32.0)
-    ]
+    ests = mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gammas=[0.5, 2.0, 8.0, 32.0],
+                           trials=20, seed=5)
+    vals = [est.mean_trace_mse for est in ests]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_mse_monte_carlo_sweep_equals_each_gamma_alone():
+    # one V, field and noise seed per trial serve every gamma, bit for bit
+    for dist, d, n, m in ((uniform_distribution(1), 1, 8, 12),
+                          (hole_distribution(0.5, d=2), 2, 3, 7)):
+        gammas = [0.3, 4.0, 250.0]
+        sweep = mse_monte_carlo(dist, n, d, m, gammas, trials=5, seed=11, threads=1)
+        assert len(sweep) == len(gammas)
+        for gamma, est in zip(gammas, sweep):
+            assert est == mse_monte_carlo(dist, n, d, m, [gamma], trials=5, seed=11, threads=1)[0]
+
+
+def test_mse_monte_carlo_draws_each_trial_once():
+    dist, drawn = counting(uniform_distribution(1))
+    mse_monte_carlo(dist, 8, 1, 10, gammas=[0.5, 2.0, 8.0, 32.0], trials=3, seed=3, threads=1)
+    assert drawn == [10, 10, 10]
+
+
 def test_mse_monte_carlo_thread_invariance():
-    a = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gamma=2.0, trials=6, seed=3, threads=1)
-    b = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gamma=2.0, trials=6, seed=3, threads=3)
-    assert a.mean_trace_mse == b.mean_trace_mse
-    assert a.mean_normalized_error == b.mean_normalized_error
+    gammas = [0.5, 2.0, 40.0]
+    a = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gammas, trials=6, seed=3, threads=1)
+    b = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gammas, trials=6, seed=3, threads=3)
+    assert a == b
 
 
 def test_mse_monte_carlo_rejects_negative_threads_before_any_trial():
-    drawn = []
-    dist = dataclasses.replace(uniform_distribution(1), sampler=lambda seed, m: drawn.append(m))
+    dist, drawn = counting(uniform_distribution(1))
     with pytest.raises(ValueError, match="threads must be >= 0"):
-        mse_monte_carlo(dist, 8, 1, 10, gamma=2.0, trials=3, seed=3, threads=-1)
+        mse_monte_carlo(dist, 8, 1, 10, gammas=[2.0], trials=3, seed=3, threads=-1)
     assert not drawn
 
 
 def test_mse_monte_carlo_rejects_bad_gamma():
-    with pytest.raises(ValueError):
-        mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gamma=0.0, trials=2, seed=0)
+    # anywhere in the grid, and an empty grid, before any draw
+    for gammas in ([0.0], [2.0, -1.0], [2.0, float("inf")], [float("nan"), 2.0], []):
+        dist, drawn = counting(uniform_distribution(1))
+        with pytest.raises(ValueError, match="gamma"):
+            mse_monte_carlo(dist, 8, 1, 10, gammas, trials=2, seed=0)
+        assert not drawn, gammas

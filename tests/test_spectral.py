@@ -396,6 +396,23 @@ def test_eta_table_basics_and_rangecheck():
         tab.eta(0.5, 100.0)
 
 
+def test_eta_table_one_gamma_node():
+    # one gamma node, as one beta node: a query at the node reads the beta
+    # column there (a straight line in log beta through two nodes), and a
+    # query off the node is out of range
+    tab = eta_u_table(1, [0.5, 1.0], [2.0], n=8, trials=2, seed=0)
+    line = PchipInterpolator(np.log(tab.beta_grid), tab.values[:, 0])
+    assert tab.eta(0.7, 2.0) == pytest.approx(float(line(np.log(0.7))), rel=1e-12)
+    assert tab.eta(tab.beta_grid, [2.0, 2.0]).tolist() == tab.values[:, 0].tolist()
+    with pytest.raises(EtaTableRangeError):
+        tab.eta(0.7, 2.5)
+    single = EtaUTable(d=1, n=8, trials=2, seed=0, beta_grid=np.array([0.5]),
+                       gamma_grid=np.array([2.0]), values=np.array([[0.4]]))
+    assert single.eta(0.5, 2.0) == 0.4
+    with pytest.raises(EtaTableRangeError):
+        single.eta(0.5, 1.0)
+
+
 def test_eta_table_matches_direct_simulation():
     # mid-grid interpolation within 1 % of a directly simulated value
     tab = build_eta_table(1, 64, (0.3, 1.2), (0.2, 30), beta_nodes=12,
