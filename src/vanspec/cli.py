@@ -76,30 +76,51 @@ def check_betas(betas: list[float]) -> list[float]:
     return betas
 
 
+def sample_count(n: int, d: int, beta: float) -> int:
+    """m = n^d / beta, rounded; an m that rounds to 0 or overflows is a usage error."""
+    m = n ** d / beta
+    if not 0.5 < m < np.inf:
+        raise UsageError(f"--beta {beta:g} at n^d = {n ** d}: m = n^d/beta = {m:g}, want 0.5 < m < inf")
+    return round(m)
+
+
+def from_factory(factory, *args, **kwargs):
+    """factory(*args, **kwargs); its own argument checks' ValueError is a usage error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad {factory.__name__} parameter: {exc}")
+
+
 def check_range(flag: str, value: int, hi: int) -> None:
     if not 1 <= value <= hi:
         raise UsageError(f"{flag} must be in 1..{hi}, got {value}")
 
 
+GAMMA_GRID_CAP = 1000  # most points in a --gamma-db range: a desk-scale sweep
+
+
 def parse_db_grid(text: str) -> list[float]:
-    """Comma list or 'start:step:stop' range of dB values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad dB range {text!r}, want start:step:stop")
+    """Comma list or 'start:step:stop' range (at most GAMMA_GRID_CAP points)
+    of finite dB values, strictly increasing."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        vals = parse_float_list(text)
+    else:
         try:
-            start, step, stop = (float(v) for v in parts)
+            start, step, stop = vals = [float(v) for v in parts]
         except ValueError:
-            raise UsageError(f"bad dB range {text!r}")
+            raise UsageError(f"bad dB range {text!r}, want start:step:stop")
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"bad dB grid {text!r}: every value must be finite")
+    if len(parts) > 1:
         if step <= 0 or stop < start:
             raise UsageError(f"bad dB range {text!r}: need step > 0, stop >= start")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 9))
-            v += step
-        return out
-    vals = parse_float_list(text)
+        steps = (stop - start + 1e-9) / step
+        if steps >= GAMMA_GRID_CAP:
+            raise UsageError(f"bad dB range {text!r}: more than the desk-scale cap "
+                             f"of {GAMMA_GRID_CAP} points")
+        vals = [round(start + i * step, 9) for i in range(int(steps) + 1)]
     if any(b >= a for a, b in zip(vals[1:], vals)):
         raise UsageError("gamma grid must be strictly increasing")
     return vals
@@ -324,7 +345,7 @@ def cmd_partitions(args) -> int:
         check_range("--k", args.k, args.p)
     rows = []
     for q in enumerate_partitions(args.p, args.k):
-        v = vandermonde_coefficient(q, "extrapolated-count")
+        v = vandermonde_coefficient(q)
         rows.append((str(q), q.k, is_noncrossing(q), str(v), float(v)))
     write_table(args.out, "partitions", {"p": args.p, "k": args.k}, args.seed,
                 ["partition", "k", "noncrossing", "v_exact", "v_float"], rows)
@@ -337,7 +358,7 @@ def cmd_moments(args) -> int:
     dist = load_distribution(args.dist, args.d)
     n = args.n if args.n is not None else {1: 256, 2: 16, 3: 6}.get(args.d, 4)
     check_size(n, args.d)
-    m = max(1, int(round(n ** args.d / args.beta)))
+    m = sample_count(n, args.d, args.beta)
     analytic = moment_table(dist, args.d, args.beta, args.max_p)
     summary = aesd(dist, n, m, args.trials, seed=args.seed, threads=args.threads)
     rows = []
@@ -365,7 +386,7 @@ def cmd_spectrum(args) -> int:
     check_betas([args.beta])
     check_size(args.n, args.d)
     dist = load_distribution(args.dist, args.d)
-    m = max(1, int(round(args.n ** args.d / args.beta)))
+    m = sample_count(args.n, args.d, args.beta)
     summary = aesd(dist, args.n, m, args.trials, seed=args.seed,
                    bins=args.bins, threads=args.threads)
     config = {
@@ -385,13 +406,13 @@ def cmd_mse(args) -> int:
     check_size(args.n, args.d)
     dist = load_distribution(args.dist, args.d)
     betas = check_betas(parse_float_list(args.beta))
+    ms = [sample_count(args.n, args.d, beta) for beta in betas]
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db,
                                       include_uniform_baseline=False)
     gammas = [db_to_linear(gdb) for gdb in gammas_db]
     rows = []
-    for beta in betas:
-        m = max(1, int(round(args.n ** args.d / beta)))
+    for beta, m in zip(betas, ms):
         ests = mse_monte_carlo(dist, args.n, args.d, m, gammas,
                                trials=args.trials, seed=args.seed, threads=args.threads)
         for gdb, gamma, est in zip(gammas_db, gammas, ests):
@@ -420,7 +441,7 @@ def _by_curve(rows):
 
 def cmd_scenario_fading(args) -> int:
     check_size(args.n, 2)
-    dist = fading_distribution(args.a_db)
+    dist = from_factory(fading_distribution, args.a_db)
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db)
@@ -444,8 +465,8 @@ def cmd_scenario_csma(args) -> int:
     if args.config:
         hier = load_hierarchy(read_json_object(args.config))
     else:
-        hier = quadrant_hierarchy(parse_float_list(args.lambda1))
-    prof = csma_success_profile(hier)
+        hier = from_factory(quadrant_hierarchy, parse_float_list(args.lambda1))
+    prof = from_factory(csma_success_profile, hier)
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
     eta, eta_meta = mixture_eta_table(args, prof.distribution, betas, gammas_db)
@@ -469,9 +490,9 @@ def cmd_scenario_csma(args) -> int:
 
 
 def _holes_summaries(c: float, beta: float, n: int, trials: int, seed: int, threads):
-    direct = aesd(hole_distribution(c, d=1), n, max(1, int(round(n / beta))),
-                  trials, seed=seed, threads=threads)
-    base = aesd(uniform_distribution(1), n, max(1, int(round(n / (c * beta)))),
+    dist = from_factory(hole_distribution, c, d=1)
+    direct = aesd(dist, n, sample_count(n, 1, beta), trials, seed=seed, threads=threads)
+    base = aesd(uniform_distribution(1), n, sample_count(n, 1, c * beta),
                 trials, seed=seed + 1, threads=threads)
     transformed = transform_scaled_lsd(base, c, beta)
     return direct, transformed, compare_scaled_aesd(direct, transformed)
@@ -494,11 +515,11 @@ def cmd_scenario_holes(args) -> int:
 
 def cmd_scenario_dense(args) -> int:
     check_size(args.n, 2)
-    dist = fading_distribution(args.a_db)
+    dist = from_factory(fading_distribution, args.a_db)
     betas = check_betas(parse_float_list(args.beta))
+    ms = [sample_count(args.n, 2, beta) for beta in betas]
     rows = []
-    for beta in betas:
-        m = max(1, int(round(args.n ** 2 / beta)))
+    for beta, m in zip(betas, ms):
         summary = aesd(dist, args.n, m, args.trials, seed=args.seed, threads=args.threads)
         rows += [(f"aesd-beta{beta:g}", 0.5 * (l + r), v) for l, r, v in _spectrum_rows(summary)]
     ygrid = np.linspace(*dist.gx.support, 200)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import P_MAX, enumerate_partitions, vandermonde_coefficient
+from .partitions import P_MAX, coefficient_table
 from .sampling import SamplingDistribution
 
 
@@ -39,10 +39,7 @@ def density_power_integrals(dist: SamplingDistribution, P: int) -> tuple[float, 
 @lru_cache(maxsize=None)
 def _omega_sum(p: int, k: int, d: int) -> Fraction:
     """Exact sum of v(omega)^d over all k-block partitions of {1..p}."""
-    total = Fraction(0)
-    for part in enumerate_partitions(p, k):
-        total += vandermonde_coefficient(part) ** d
-    return total
+    return sum(v ** d for v in coefficient_table(p, k).values())
 
 
 def asymptotic_moment(

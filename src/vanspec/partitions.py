@@ -18,15 +18,18 @@ Discretely, 2007, ch. 3).
 v(omega) is constant on each dihedral orbit of partitions.  The moment is a
 trace over a cyclic index sequence: rotating the partition is a cyclic shift
 of the trace, and reversing it is the conjugate transpose, which leaves the
-(real) trace unchanged.  So the coefficient cache is keyed by the orbit's
-representative, `canonical(labels)`, and each orbit is counted once.
+(real) trace unchanged.  So `coefficient_table` fixes v once per orbit, and
+counts only crossing orbits, each at its `canonical` representative.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,18 +128,6 @@ def is_noncrossing(part: SetPartition) -> bool:
     return True
 
 
-def _active_positions(labels: tuple[int, ...]) -> dict[int, list[int]]:
-    """Positions where each block's balance moves (self-loops excluded)."""
-    p = len(labels)
-    act: dict[int, list[int]] = {}
-    for i in range(p):
-        bp, bm = labels[i], labels[(i + 1) % p]
-        if bp != bm:
-            act.setdefault(bp, []).append(i)
-            act.setdefault(bm, []).append(i)
-    return act
-
-
 def lattice_count(part: SetPartition, n: int) -> int:
     """Count t in {0..n-1}^p with, per block b, sum over entries of b minus
     sum over cyclic predecessors of b equal to zero.
@@ -150,8 +141,10 @@ def lattice_count(part: SetPartition, n: int) -> int:
     p = len(labels)
 
     # Blocks touched only by self-loop positions impose no constraint; each
-    # self-loop position contributes a free factor n.
-    act = _active_positions(labels)
+    # self-loop position contributes a free factor n.  remaining[b] counts
+    # the positions still to move block b's balance.
+    moves = [(labels[i], labels[(i + 1) % p]) for i in range(p)]
+    remaining = Counter(b for bp, bm in moves if bp != bm for b in (bp, bm))
     scale = 1
     dtype: type | np.dtype = np.int64 if n ** p < 2 ** 62 else object
 
@@ -160,10 +153,8 @@ def lattice_count(part: SetPartition, n: int) -> int:
     state = np.ones((), dtype=dtype)
     axes: list[int] = []
     offs: dict[int, int] = {}
-    remaining = {b: len(pos) for b, pos in act.items()}
 
-    for i in range(p):
-        bp, bm = labels[i], labels[(i + 1) % p]
+    for bp, bm in moves:
         if bp == bm:
             scale *= n
             continue
@@ -228,11 +219,15 @@ def _leading_coefficient(xs: list[int], ys: list[int], degree: int) -> Fraction:
     return lead
 
 
-def canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Representative of the dihedral orbit of a labelling: the least
-    first-occurrence relabelling among its p rotations and p reflections."""
+def _orbit(labels: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Dihedral orbit: first-occurrence forms of the p rotations and p reflections."""
     rotations = [labels[r:] + labels[:r] for r in range(len(labels))]
-    return min(_first_occurrence(image) for image in rotations + [rot[::-1] for rot in rotations])
+    return {_first_occurrence(image) for image in rotations + [rot[::-1] for rot in rotations]}
+
+
+def canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Representative of the dihedral orbit of a labelling: its least member."""
+    return min(_orbit(labels))
 
 
 def _fit_coefficient(part: SetPartition) -> Fraction:
@@ -252,25 +247,23 @@ def _fit_coefficient(part: SetPartition) -> Fraction:
     return lead
 
 
-# Counted coefficients, keyed by canonical(labels): one entry per orbit.
-_coefficient_cache: dict[tuple[int, ...], Fraction] = {}
+@functools.cache
+def coefficient_table(p: int, k: int) -> MappingProxyType:
+    """v(omega) of every k-block partition of {1..p}, keyed by its labels.
 
-
-def vandermonde_coefficient(
-    part: SetPartition, method: str = "noncrossing-shortcut"
-) -> Fraction:
-    """Coefficient v(omega) = lim_n lattice_count / n^(p-k+1), exactly.
-
-    method "noncrossing-shortcut" returns exactly 1 for noncrossing
-    partitions and falls back to the fit otherwise; "extrapolated-count"
-    always fits lattice counts (`_fit_coefficient`), once per dihedral orbit.
+    In enumeration (lexicographic) order the first member met of each orbit
+    is its `canonical` representative: v is fixed there, 1 if noncrossing and
+    counted (`_fit_coefficient`) otherwise, and stored under the whole orbit.
     """
-    if method not in ("noncrossing-shortcut", "extrapolated-count"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "noncrossing-shortcut" and is_noncrossing(part):
-        # not cached: the cache holds counted values only
-        return Fraction(1)
-    key = canonical(part.labels)
-    if key not in _coefficient_cache:
-        _coefficient_cache[key] = _fit_coefficient(SetPartition(key))
-    return _coefficient_cache[key]
+    table: dict[tuple[int, ...], Fraction] = {}
+    for part in enumerate_partitions(p, k):
+        if part.labels not in table:
+            v = Fraction(1) if is_noncrossing(part) else _fit_coefficient(part)
+            table.update(dict.fromkeys(_orbit(part.labels), v))
+    return MappingProxyType(table)
+
+
+def vandermonde_coefficient(part: SetPartition) -> Fraction:
+    """Coefficient v(omega) = lim_n lattice_count / n^(p-k+1), exactly: this
+    partition's entry in `coefficient_table`."""
+    return coefficient_table(part.p, part.k)[part.labels]

@@ -132,7 +132,6 @@ class MseEstimate:
     mean_normalized_error: float
     stderr_trace_mse: float
     stderr_normalized_error: float
-    trials: int
 
 
 def mse_monte_carlo(
@@ -190,5 +189,4 @@ def _estimate(results: np.ndarray) -> MseEstimate:
         mean_normalized_error=float(er.mean()),
         stderr_trace_mse=float(tr.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
         stderr_normalized_error=float(er.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
-        trials=trials,
     )

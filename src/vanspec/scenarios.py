@@ -31,8 +31,8 @@ def _fading_b(a: float) -> float:
     """Peak b of the delivered-sample density b*exp(-a*(z1^2+z2^2)), with
     a = threshold/unit-SNR ratio (linear), fixed by normalization over the
     unit square."""
-    if a <= 0:
-        raise ValueError("a must be > 0 (linear)")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (linear), got {a:g}")
     return float(a / (np.pi * math.erf(math.sqrt(a / 4.0)) ** 2))
 
 

@@ -205,8 +205,6 @@ class SpectrumSummary:
     n: int
     d: int
     m: int
-    distribution_id: str
-    master_seed: Optional[int]
     atom_zero_mass: float  # fraction of stored samples classified as atom
     atom: np.ndarray  # per sample: below ATOM_TOL_REL x its own trial's largest
     hist_edges: np.ndarray
@@ -244,8 +242,6 @@ def summarize_eigenvalues(
     n: int,
     d: int,
     m: int,
-    distribution_id: str,
-    master_seed: Optional[int],
     bins="auto",
 ) -> SpectrumSummary:
     """Pool per-trial eigenvalues into a SpectrumSummary.
@@ -266,8 +262,6 @@ def summarize_eigenvalues(
         n=n,
         d=d,
         m=m,
-        distribution_id=distribution_id,
-        master_seed=master_seed,
         atom_zero_mass=atom_mass,
         atom=atom,
         hist_edges=edges,
@@ -293,7 +287,7 @@ def aesd(
         return gram_eigenvalues(V)
 
     per_trial = _run_trials(one, trials, threads)
-    return summarize_eigenvalues(per_trial, n, dist.d, m, dist.id, seed, bins)
+    return summarize_eigenvalues(per_trial, n, dist.d, m, bins)
 
 
 def empirical_eta(summary: SpectrumSummary, gamma: float) -> float:
@@ -336,8 +330,6 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
         n=base.n,
         d=base.d,
         m=base.m,
-        distribution_id=f"scaled(c={c:g},{base.distribution_id})",
-        master_seed=base.master_seed,
         atom_zero_mass=base.atom_zero_mass,
         atom=base.atom,
         hist_edges=edges,
@@ -362,7 +354,6 @@ class ScaledLsdComparison:
     ks_distance: float
     atom_direct: float
     atom_transformed: float
-    cut: float
 
 
 def compare_scaled_aesd(
@@ -389,7 +380,6 @@ def compare_scaled_aesd(
         ks_distance=_ks_distance(d_pos, t_pos),
         atom_direct=atom_at(direct, cut),
         atom_transformed=atom_at(transformed, cut),
-        cut=cut,
     )
 
 

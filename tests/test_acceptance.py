@@ -17,6 +17,7 @@ from scipy import integrate
 from vanspec.cli import main as cli_main
 from vanspec.moments import uniform_moment
 from vanspec.partitions import (
+    _fit_coefficient,
     enumerate_partitions,
     is_noncrossing,
     lattice_count,
@@ -153,7 +154,7 @@ def test_c02_moments_vs_monte_carlo():
     crossing = partition_from_blocks([[1, 3], [2, 4]])
     for n in range(2, 11):
         assert lattice_count(crossing, n) == (2 * n ** 3 + n) // 3
-    assert vandermonde_coefficient(crossing, "extrapolated-count") == Fraction(2, 3)
+    assert vandermonde_coefficient(crossing) == Fraction(2, 3)
 
     dist1, dist2 = uniform_distribution(1), uniform_distribution(2)
     worst = 0.0
@@ -182,7 +183,7 @@ def test_c03_noncrossing_law():
     checked = 0
     for p in range(1, 7):
         for part in enumerate_partitions(p):
-            c = vandermonde_coefficient(part, "extrapolated-count")
+            c = _fit_coefficient(part)  # counted: the coefficient table takes 1 as given
             assert 0 < c <= 1, f"v({part}) = {c} outside (0,1]"
             if is_noncrossing(part):
                 assert c == 1, f"noncrossing {part} has v = {c}"

@@ -34,6 +34,9 @@ def read_rows(path):
 
 def test_parse_db_grid():
     assert parse_db_grid("-10:5:10") == [-10.0, -5.0, 0.0, 5.0, 10.0]
+    assert parse_db_grid("-10:2:30") == [float(v) for v in range(-10, 31, 2)]
+    assert parse_db_grid("0:0.1:1") == [round(0.1 * i, 9) for i in range(11)]
+    assert len(parse_db_grid(f"0:1:{cli.GAMMA_GRID_CAP - 1}")) == cli.GAMMA_GRID_CAP
     assert parse_db_grid("0,10,20") == [0.0, 10.0, 20.0]
     with pytest.raises(Exception):
         parse_db_grid("10:0:20")
@@ -232,6 +235,42 @@ def _exit_code(argv):
     (["--threads", "-1", "partitions", "--p", "2"], "--threads: want an integer >= 0, got '-1'"),
     (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5",
       "--trials", "2", "--threads", "-2"], "--threads: want an integer >= 0, got '-2'"),
+    (["scenario", "fading", "--a-db", "5", "--gamma-db=nan"],
+     "bad dB grid 'nan': every value must be finite"),
+    (["scenario", "fading", "--a-db", "5", "--gamma-db=0,inf"],
+     "bad dB grid '0,inf': every value must be finite"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db=-inf:1:0"],
+     "bad dB grid '-inf:1:0': every value must be finite"),
+    (["scenario", "fading", "--a-db", "5", "--gamma-db", "0:1e-12:10"],
+     "bad dB range '0:1e-12:10': more than the desk-scale cap of 1000 points"),
+    (["scenario", "fading", "--a-db", "5", "--gamma-db", "1e20:1:1e21"],
+     "bad dB range '1e20:1:1e21': more than the desk-scale cap of 1000 points"),
+    (["scenario", "holes", "--c", "2", "--beta", "0.5"],
+     "bad hole_distribution parameter: c must be in (0, 1]"),
+    (["scenario", "fading", "--a-db=-inf"],
+     "bad fading_distribution parameter: a must be finite and > 0"),
+    (["scenario", "dense", "--a-db", "nan"],
+     "bad fading_distribution parameter: a must be finite and > 0"),
+    (["scenario", "csma", "--lambda1", "1,2,3"],
+     "bad quadrant_hierarchy parameter: quadrant hierarchy needs 4 layer-1 loads"),
+    (["scenario", "csma", "--lambda1=-1,0,0,0"],
+     "bad quadrant_hierarchy parameter: need one nonnegative layer-1 load per area"),
+    (["moments", "--dist", "fading:a_db=nan", "--d", "2", "--beta", "1", "--max-p", "2"],
+     "bad --dist 'fading:a_db=nan': a must be finite and > 0"),
+    (["moments", "--dist", "uniform", "--d", "1", "--n", "4", "--beta", "100", "--max-p", "2"],
+     "--beta 100 at n^d = 4: m = n^d/beta = 0.04, want 0.5 < m < inf"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "1e300", "--max-p", "2"],
+     "--beta 1e+300 at n^d = 256: m = n^d/beta = 2.56e-298"),
+    (["spectrum", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "16", "--trials", "2"],
+     "--beta 16 at n^d = 8: m = n^d/beta = 0.5, want 0.5 < m < inf"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5,100", "--gamma-db", "0"],
+     "--beta 100 at n^d = 8: m = n^d/beta = 0.08"),
+    (["scenario", "holes", "--c", "0.5", "--beta", "300"],
+     "--beta 300 at n^d = 100: m = n^d/beta = 0.333333"),
+    (["moments", "--dist", "uniform", "--d", "1", "--beta", "5e-324", "--max-p", "2"],
+     "--beta 4.94066e-324 at n^d = 256: m = n^d/beta = inf, want 0.5 < m < inf"),
+    (["scenario", "dense", "--a-db", "5", "--beta", "0.5,300"],
+     "--beta 300 at n^d = 100: m = n^d/beta = 0.333333"),
 ], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
         "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
         "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p",
@@ -239,7 +278,12 @@ def _exit_code(argv):
         "mse-n-negative", "mse-trials-0", "mse-table-trials-0", "fading-n-0",
         "fading-table-trials-0", "csma-n-0", "csma-table-trials-0", "holes-n-0",
         "holes-trials-0", "dense-n-0", "dense-trials-0", "threads-negative",
-        "spectrum-threads-negative"])
+        "spectrum-threads-negative", "gamma-db-nan", "gamma-db-inf", "gamma-db-range-inf",
+        "gamma-db-range-above-cap", "gamma-db-range-that-never-moves", "holes-c-above-one",
+        "fading-a-db-minus-inf", "dense-a-db-nan", "csma-lambda1-three", "csma-lambda1-negative",
+        "dist-fading-a-db-nan", "moments-beta-leaves-no-sample", "moments-beta-1e300",
+        "spectrum-beta-leaves-no-sample", "mse-beta-leaves-no-sample",
+        "holes-beta-leaves-no-sample", "moments-beta-overflows-m", "dense-beta-leaves-no-sample"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2
@@ -268,6 +312,21 @@ def test_size_above_cap_is_usage_error_before_any_work(monkeypatch, tmp_path, ca
     assert main(argv + ["--out", str(out)]) == 2
     assert "above desk-scale cap 1024" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "fading", "--a-db", "5", "--gamma-db=nan"],
+    ["scenario", "fading", "--a-db", "5", "--gamma-db", "0:1e-12:10"],
+    ["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5,100", "--gamma-db", "0"],
+], ids=["gamma-db-nan", "gamma-db-above-cap", "beta-leaves-no-sample"])
+def test_bad_grid_is_refused_before_the_eta_table(monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("eta table built before the grid check")
+
+    monkeypatch.setattr(cli, "build_eta_table", no_work)
+    table = tmp_path / "t.json"
+    assert main(["--eta-table", str(table)] + argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert not table.exists()
 
 
 def test_size_at_cap_is_accepted():

@@ -13,6 +13,7 @@ from vanspec.partitions import (
     _fit_coefficient,
     _leading_coefficient,
     canonical,
+    coefficient_table,
     enumerate_partitions,
     is_noncrossing,
     lattice_count,
@@ -157,7 +158,7 @@ def test_lattice_count_single_block_is_n_to_p():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 5), st.data())
 def test_lattice_count_cyclic_rotation_invariant(p, n, data):
-    # the coefficient cache relies on both: one count per dihedral orbit
+    # the coefficient table relies on both: one count per dihedral orbit
     parts = enumerate_partitions(p)
     q = data.draw(st.sampled_from(parts))
     r = data.draw(st.integers(1, p - 1))
@@ -186,38 +187,44 @@ def test_lattice_count_rejects_bad_n():
 def test_coefficient_examples():
     assert vandermonde_coefficient(part([1], [2], [3])) == 1
     assert vandermonde_coefficient(part([1, 2, 3, 4])) == 1
-    c = vandermonde_coefficient(part([1, 3], [2, 4]), "extrapolated-count")
+    c = vandermonde_coefficient(part([1, 3], [2, 4]))
     assert c == Fraction(2, 3)
     assert isinstance(c, Fraction)
 
 
-def test_methods_agree_on_noncrossing():
-    for q in enumerate_partitions(4):
-        a = vandermonde_coefficient(q, "noncrossing-shortcut")
-        b = vandermonde_coefficient(q, "extrapolated-count")
-        assert a == b
-
-
-def test_counting_runs_after_shortcut(monkeypatch):
+@pytest.fixture
+def counted(monkeypatch):
+    """(labels, n) of every lattice count made by cold coefficient tables."""
     calls = []
 
     def counting(q, n):
-        calls.append(n)
+        calls.append((q.labels, n))
         return lattice_count(q, n)
 
-    monkeypatch.setattr(partitions, "_coefficient_cache", {})
     monkeypatch.setattr(partitions, "lattice_count", counting)
-    q = part([1, 2], [3, 4])
-    assert vandermonde_coefficient(q, "noncrossing-shortcut") == 1
-    assert not calls
-    assert vandermonde_coefficient(q, "extrapolated-count") == 1
-    assert calls
+    coefficient_table.cache_clear()
+    moments._omega_sum.cache_clear()
+    yield calls
+    coefficient_table.cache_clear()
+    moments._omega_sum.cache_clear()
 
 
-@pytest.mark.parametrize("p", range(1, 6))
+def test_counting_runs_after_shortcut(counted):
+    # no 3-block partition of {1..4} crosses, so its table counts nothing
+    assert vandermonde_coefficient(part([1, 2], [3], [4])) == 1
+    assert not counted
+    # the 2-block table counts its one crossing orbit, and only that
+    assert vandermonde_coefficient(part([1, 2], [3, 4])) == 1
+    assert {labels for labels, _ in counted} == {(1, 2, 1, 2)}
+
+
+@pytest.mark.parametrize("p", range(1, P_MAX + 1))
 def test_noncrossing_coefficients_are_one_and_all_in_unit_interval(p):
+    # counted, not read from the table: v = 1 on every noncrossing orbit
+    noncrossing = {canonical(q.labels) for q in enumerate_partitions(p) if is_noncrossing(q)}
+    assert all(_fit_coefficient(SetPartition(labels)) == 1 for labels in noncrossing)
     for q in enumerate_partitions(p):
-        c = vandermonde_coefficient(q, "extrapolated-count")
+        c = vandermonde_coefficient(q)
         assert 0 < c <= 1
         if is_noncrossing(q):
             assert c == 1
@@ -226,7 +233,7 @@ def test_noncrossing_coefficients_are_one_and_all_in_unit_interval(p):
 def test_crossing_coefficient_values_p5():
     # the three crossing types at p=5 all reduce to 2/3 by symmetry of the
     # single crossing pair; spot-check one with an extra inert element
-    c = vandermonde_coefficient(part([1, 3], [2, 4], [5]), "extrapolated-count")
+    c = vandermonde_coefficient(part([1, 3], [2, 4], [5]))
     assert 0 < c < 1
 
 
@@ -253,40 +260,48 @@ def test_crossing_orbit_counts():
         for p in range(4, P_MAX + 1)
     }
     assert orbits == {4: 1, 5: 2, 6: 13, 7: 44}
+    # the noncrossing ones, each counted by the unit-interval test above
+    noncrossing = {canonical(q.labels) for p in range(1, P_MAX + 1)
+                   for q in enumerate_partitions(p) if is_noncrossing(q)}
+    assert len(noncrossing) == 95
 
 
-def test_direct_fit_matches_orbit_value(monkeypatch):
+def test_table_holds_every_partition_under_its_orbit_value():
+    sizes = 0
+    for p in range(1, P_MAX + 1):
+        for k in range(1, p + 1):
+            table = coefficient_table(p, k)
+            assert sorted(table) == [q.labels for q in enumerate_partitions(p, k)]
+            assert all(v == table[canonical(labels)] for labels, v in table.items())
+            sizes += len(table)
+    assert sizes == sum(bell_number(p) for p in range(1, P_MAX + 1)) == 1155
+
+
+def test_direct_fit_matches_orbit_value(counted):
     # every crossing partition with p <= 6 is counted as itself, with no
-    # canonicalisation, and must agree with the value cached for its orbit
-    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+    # canonicalisation, and must agree with the value its orbit carries in
+    # the table
     crossing = [q for p in range(1, 7) for q in enumerate_partitions(p) if not is_noncrossing(q)]
     assert len(crossing) == 82
     direct = [_fit_coefficient(q) for q in crossing]
-    assert not partitions._coefficient_cache
+    assert coefficient_table.cache_info().currsize == 0
+    counted.clear()
     assert direct == [vandermonde_coefficient(q) for q in crossing]
-    assert len(partitions._coefficient_cache) == 1 + 2 + 13
+    assert len({labels for labels, _ in counted}) == 1 + 2 + 13
 
 
-def test_cold_moment_sums_count_one_partition_per_orbit(monkeypatch):
-    calls = []
-
-    def counting(q, n):
-        calls.append((q.labels, n))
-        return lattice_count(q, n)
-
-    monkeypatch.setattr(partitions, "_coefficient_cache", {})
-    monkeypatch.setattr(partitions, "lattice_count", counting)
-    moments._omega_sum.cache_clear()
-    try:
-        for p in range(1, P_MAX + 1):
-            for k in range(1, p + 1):
-                moments._omega_sum(p, k, 1)
-    finally:
-        moments._omega_sum.cache_clear()
-    assert len(calls) == 384
-    assert len(partitions._coefficient_cache) == 60
+def test_cold_moment_sums_count_one_partition_per_orbit(counted):
+    for p in range(1, P_MAX + 1):
+        for k in range(1, p + 1):
+            moments._omega_sum(p, k, 1)
+    assert len(counted) == 384
+    labels_counted = {labels for labels, _ in counted}
+    assert len(labels_counted) == 60
+    # each orbit is counted at its representative, and no noncrossing one is
+    assert all(canonical(labels) == labels for labels in labels_counted)
+    assert not any(is_noncrossing(SetPartition(labels)) for labels in labels_counted)
     # the fit window is n = 1..D+2, D = p - k + 1
-    assert all(n <= len(labels) - max(labels) + 3 for labels, n in calls)
+    assert all(n <= len(labels) - max(labels) + 3 for labels, n in counted)
 
 
 def test_ehrhart_fit_matches_fit_at_large_n():
@@ -313,13 +328,7 @@ def test_fit_rejects_counts_off_the_polynomial(monkeypatch):
         _fit_coefficient(part([1, 3], [2, 4]))
 
 
-def test_coefficient_keeps_callers_partition(monkeypatch):
-    monkeypatch.setattr(partitions, "_coefficient_cache", {})
+def test_coefficient_keeps_callers_partition():
     q = part([1, 4], [2, 5], [3])  # crossing, not its orbit's representative
     assert canonical(q.labels) != q.labels
     assert vandermonde_coefficient(q) == vandermonde_coefficient(SetPartition(canonical(q.labels)))
-
-
-def test_bad_method_rejected():
-    with pytest.raises(ValueError):
-        vandermonde_coefficient(part([1, 2]), "guess")

@@ -193,6 +193,15 @@ def test_hole_rejects_bad_c():
         hole_distribution(1.2)
 
 
+@pytest.mark.parametrize("a_db", [float("nan"), float("inf"), float("-inf")])
+def test_fading_rejects_non_finite_threshold(a_db):
+    # a NaN ratio once passed the a <= 0 check and hung the rejection sampler
+    with pytest.raises(ValueError, match="a must be finite and > 0"):
+        fading_distribution(a_db)
+    with pytest.raises(ValueError, match="a must be finite and > 0"):
+        fading_gx(db_to_linear(a_db))
+
+
 # ---------------------------------------------------------------------------
 # collision model + csma
 

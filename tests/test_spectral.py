@@ -240,7 +240,7 @@ SPLIT_TRIALS = [np.array([1e-6, 1e-3, 1.0]), np.array([1e-4, 0.5, 100.0])]
 
 
 def test_atom_and_histogram_split_one_mask():
-    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, "test", None, bins=4)
+    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, bins=4)
     positives = np.concatenate([lam[lam >= ATOM_TOL_REL * lam[-1]] for lam in SPLIT_TRIALS])
     total = sum(lam.size for lam in SPLIT_TRIALS)
     assert positives.size == 4
@@ -252,7 +252,7 @@ def test_atom_and_histogram_split_one_mask():
 
 
 def test_transform_keeps_the_base_atom_mask():
-    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, "test", None, bins=4)
+    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, bins=4)
     t = transform_scaled_lsd(base, 0.5, 2.0, bins=4)
     assert np.array_equal(t.atom, base.atom)
     counts, _ = np.histogram(t.eigenvalues[~t.atom], bins=t.hist_edges)
