@@ -54,5 +54,6 @@ from .spectral import (  # noqa: F401
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
+    histogram,
     transform_scaled_lsd,
 )

@@ -45,6 +45,7 @@ from .spectral import (
     build_eta_table,
     compare_scaled_aesd,
     empirical_moment,
+    histogram,
     transform_scaled_lsd,
 )
 from .svgplot import Series, line_plot_svg
@@ -76,11 +77,21 @@ def check_betas(betas: list[float]) -> list[float]:
     return betas
 
 
+# Most sample points m one matrix may hold: a desk-scale sweep.  Ten times
+# the largest m of any canned figure (fig5: n^d = 100 at beta = 0.01 is
+# m = 10,000).
+M_CAP = 100_000
+
+
 def sample_count(n: int, d: int, beta: float) -> int:
-    """m = n^d / beta, rounded; an m that rounds to 0 or overflows is a usage error."""
+    """m = n^d / beta, rounded; an m that rounds to 0, overflows or lies
+    above M_CAP is a usage error."""
     m = n ** d / beta
     if not 0.5 < m < np.inf:
         raise UsageError(f"--beta {beta:g} at n^d = {n ** d}: m = n^d/beta = {m:g}, want 0.5 < m < inf")
+    if round(m) > M_CAP:
+        raise UsageError(f"--beta {beta:g} at n^d = {n ** d}: m = n^d/beta = {m:g} "
+                         f"above desk-scale cap {M_CAP}")
     return round(m)
 
 
@@ -102,7 +113,8 @@ GAMMA_GRID_CAP = 1000  # most points in a --gamma-db range: a desk-scale sweep
 
 def parse_db_grid(text: str) -> list[float]:
     """Comma list or 'start:step:stop' range (at most GAMMA_GRID_CAP points)
-    of finite dB values, strictly increasing."""
+    of finite dB values, strictly increasing, each with a positive and
+    finite linear value."""
     parts = text.split(":")
     if len(parts) == 1:
         vals = parse_float_list(text)
@@ -123,6 +135,10 @@ def parse_db_grid(text: str) -> list[float]:
         vals = [round(start + i * step, 9) for i in range(int(steps) + 1)]
     if any(b >= a for a, b in zip(vals[1:], vals)):
         raise UsageError("gamma grid must be strictly increasing")
+    for v in vals:
+        if not 0 < db_to_linear(v) < np.inf:
+            raise UsageError(f"bad dB grid {text!r}: {v:g} dB is {db_to_linear(v):g} linear, "
+                             "want a positive finite SNR")
     return vals
 
 
@@ -325,9 +341,12 @@ def mixture_eta_table(args, dist: SamplingDistribution, betas: list[float],
             raise UsageError(f"--eta-table {table_path}: {exc}")
         _check_loaded_table(table, args, dist.d, b_span, g_span)
     else:
-        table = build_eta_table(dist.d, args.n, tuple(b_span), tuple(g_span),
-                                trials=args.table_trials, seed=args.seed + 7919,
-                                threads=args.threads)
+        try:
+            table = build_eta_table(dist.d, args.n, tuple(b_span), tuple(g_span),
+                                    trials=args.table_trials, seed=args.seed + 7919,
+                                    threads=args.threads)
+        except EtaTableRangeError as exc:
+            raise UsageError(f"eta table: {exc}")
         if not table_path:
             return table, {}
         table.save(table_path)
@@ -375,11 +394,9 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _spectrum_rows(summary):
-    return [
-        (float(l), float(r), float(v))
-        for l, r, v in zip(summary.hist_edges[:-1], summary.hist_edges[1:], summary.hist_density)
-    ]
+def _spectrum_rows(summary, bins="auto"):
+    edges, density = histogram(summary, bins)
+    return [(float(l), float(r), float(v)) for l, r, v in zip(edges[:-1], edges[1:], density)]
 
 
 def cmd_spectrum(args) -> int:
@@ -387,13 +404,12 @@ def cmd_spectrum(args) -> int:
     check_size(args.n, args.d)
     dist = load_distribution(args.dist, args.d)
     m = sample_count(args.n, args.d, args.beta)
-    summary = aesd(dist, args.n, m, args.trials, seed=args.seed,
-                   bins=args.bins, threads=args.threads)
+    summary = aesd(dist, args.n, m, args.trials, seed=args.seed, threads=args.threads)
     config = {
         "dist": dist.id, "n": args.n, "d": args.d, "beta": args.beta,
         "m": m, "trials": args.trials, "bins": str(args.bins),
     }
-    rows = _spectrum_rows(summary)
+    rows = _spectrum_rows(summary, args.bins)
     write_table(args.out, "spectrum", config, args.seed,
                 ["bin_left", "bin_right", "density"], rows,
                 atom_zero_mass=summary.total_atom_mass, beta_achieved=summary.beta)

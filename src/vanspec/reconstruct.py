@@ -43,7 +43,7 @@ class Observation:
     s: np.ndarray
     sigma_n2: float
     gamma: float
-    field: Optional[FieldSpectrum] = None
+    field: FieldSpectrum
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     """
     if not np.isfinite(obs.gamma) or obs.sigma_n2 <= 0:
         raise ValueError("lmmse needs sigma_n2 > 0 (finite gamma)")
-    sigma_a2 = obs.field.sigma_a2 if obs.field is not None else obs.gamma * obs.sigma_n2
+    sigma_a2 = obs.field.sigma_a2
     sigma_n2 = obs.sigma_n2
     nd = V.n ** V.d
     beta = V.beta
@@ -110,12 +110,8 @@ def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
     z = X[:, 0] + 1j * X[:, 1]
     a_hat = (z + 1j * z[::-1]) / 2
     trace_mse = float(np.trace(X[:, 2:])) / (nd * sigma_a2)
-
-    if obs.field is not None:
-        err = obs.field.a - a_hat
-        normalized_error = float(np.real(err.conj() @ err)) / (nd * sigma_a2)
-    else:
-        normalized_error = float("nan")
+    err = obs.field.a - a_hat
+    normalized_error = float(np.real(err.conj() @ err)) / (nd * sigma_a2)
 
     cond_bound = 1.0 + obs.gamma * nd / beta
     return LmmseResult(

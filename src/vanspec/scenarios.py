@@ -20,7 +20,11 @@ from .spectral import EtaCallable, asymptotic_mse
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db / 10); inf where that overflows (above about 3,083 dB)."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,8 @@ def fading_gx(a: float) -> GxClosedForm:
 def fading_distribution(a_db: float) -> SamplingDistribution:
     """Delivered-sample distribution over the unit square (d = 2)."""
     a = db_to_linear(a_db)
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be finite and > 0 (linear), got {a:g} from a_db = {a_db:g}")
     b = _fading_b(a)
 
     def density(z: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ yields the asymptotic MSE.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -205,10 +206,7 @@ class SpectrumSummary:
     n: int
     d: int
     m: int
-    atom_zero_mass: float  # fraction of stored samples classified as atom
     atom: np.ndarray  # per sample: below ATOM_TOL_REL x its own trial's largest
-    hist_edges: np.ndarray
-    hist_density: np.ndarray  # integrates to 1 - total_atom_mass
     extra_zero_mass: float = 0.0
 
     @property
@@ -216,25 +214,27 @@ class SpectrumSummary:
         return self.n ** self.d / self.m
 
     @property
+    def atom_zero_mass(self) -> float:
+        """Fraction of the stored samples in the atom."""
+        return np.count_nonzero(self.atom) / self.atom.size
+
+    @property
     def total_atom_mass(self) -> float:
         return self.extra_zero_mass + (1.0 - self.extra_zero_mass) * self.atom_zero_mass
 
-    @property
-    def atom_cut(self) -> float:
-        """Pooled atom/positive split point (the spectrum comparison's cut)."""
-        return ATOM_TOL_REL * float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
-
-def _histogram(
-    positives: np.ndarray, bins, positive_mass: float
-) -> tuple[np.ndarray, np.ndarray]:
+def histogram(summary: SpectrumSummary, bins="auto") -> tuple[np.ndarray, np.ndarray]:
+    """Edges and density of the summary's bulk, the samples outside its atom
+    mask; the density integrates to 1 - total_atom_mass.  bins is a count or
+    "auto" (Freedman-Diaconis, capped at 256 bins when it explodes)."""
+    positives = summary.eigenvalues[~summary.atom]
     if positives.size == 0:
         return np.array([0.0, 1.0]), np.array([0.0])
     edges = np.histogram_bin_edges(positives, bins="fd" if bins == "auto" else bins)
     if len(edges) > 2048:  # FD can explode on heavy tails
         edges = np.histogram_bin_edges(positives, bins=256)
     dens, edges = np.histogram(positives, bins=edges, density=True)
-    return edges, dens * positive_mass
+    return edges, dens * ((1.0 - summary.extra_zero_mass) * (1.0 - summary.atom_zero_mass))
 
 
 def summarize_eigenvalues(
@@ -242,30 +242,23 @@ def summarize_eigenvalues(
     n: int,
     d: int,
     m: int,
-    bins="auto",
 ) -> SpectrumSummary:
     """Pool per-trial eigenvalues into a SpectrumSummary.
 
     One per-trial mask splits the samples: those below ATOM_TOL_REL x their
-    trial's largest eigenvalue make atom_zero_mass, and the rest, exactly,
-    make the histogram.
+    trial's largest eigenvalue are the atom, and the rest, exactly, the bulk
+    that histogram draws.
     """
     pooled = np.concatenate(per_trial)
     atom = np.concatenate([lam < ATOM_TOL_REL * lam[-1] for lam in per_trial])
     order = np.argsort(pooled, kind="stable")
-    pooled, atom = pooled[order], atom[order]
-    atom_mass = np.count_nonzero(atom) / pooled.size
-    edges, dens = _histogram(pooled[~atom], bins, 1.0 - atom_mass)
     return SpectrumSummary(
-        eigenvalues=pooled,
+        eigenvalues=pooled[order],
         trials=len(per_trial),
         n=n,
         d=d,
         m=m,
-        atom_zero_mass=atom_mass,
-        atom=atom,
-        hist_edges=edges,
-        hist_density=dens,
+        atom=atom[order],
     )
 
 
@@ -275,7 +268,6 @@ def aesd(
     m: int,
     trials: int,
     seed: int,
-    bins="auto",
     threads: Optional[int] = None,
 ) -> SpectrumSummary:
     """Average empirical spectral distribution of V V^H over seeded trials."""
@@ -287,7 +279,7 @@ def aesd(
         return gram_eigenvalues(V)
 
     per_trial = _run_trials(one, trials, threads)
-    return summarize_eigenvalues(per_trial, n, dist.d, m, bins)
+    return summarize_eigenvalues(per_trial, n, dist.d, m)
 
 
 def empirical_eta(summary: SpectrumSummary, gamma: float) -> float:
@@ -304,7 +296,7 @@ def empirical_moment(summary: SpectrumSummary, p: int) -> float:
     return (1.0 - summary.extra_zero_mass) * core
 
 
-def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="auto") -> SpectrumSummary:
+def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float) -> SpectrumSummary:
     """Support-scaling law: from a uniform-phase summary at aspect c*beta,
     predict the spectrum under a support of measure c at aspect beta.
 
@@ -320,22 +312,8 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float, bins="aut
         )
     if c == 1.0:
         return base
-    scaled = base.eigenvalues / c
-    extra = 1.0 - c + c * base.extra_zero_mass
-    positive_mass = (1.0 - extra) * (1.0 - base.atom_zero_mass)
-    edges, dens = _histogram(scaled[~base.atom], bins, positive_mass)
-    return SpectrumSummary(
-        eigenvalues=scaled,
-        trials=base.trials,
-        n=base.n,
-        d=base.d,
-        m=base.m,
-        atom_zero_mass=base.atom_zero_mass,
-        atom=base.atom,
-        hist_edges=edges,
-        hist_density=dens,
-        extra_zero_mass=extra,
-    )
+    return dataclasses.replace(base, eigenvalues=base.eigenvalues / c,
+                               extra_zero_mass=1.0 - c + c * base.extra_zero_mass)
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -365,10 +343,10 @@ def compare_scaled_aesd(
     (asymptotically part of the atom) from the bulk: everything below half
     the transformed reference's smallest positive sample is atom-side.
     """
-    ref_pos = transformed.eigenvalues[
-        transformed.eigenvalues >= transformed.atom_cut
-    ]
-    cut = max(direct.atom_cut, transformed.atom_cut, 0.5 * float(ref_pos.min()))
+    # each summary's pooled atom/positive split point
+    direct_cut, ref_cut = (ATOM_TOL_REL * float(s.eigenvalues[-1]) for s in (direct, transformed))
+    ref_pos = transformed.eigenvalues[transformed.eigenvalues >= ref_cut]
+    cut = max(direct_cut, ref_cut, 0.5 * float(ref_pos.min()))
 
     def atom_at(summary: SpectrumSummary, cut: float) -> float:
         below = float(np.mean(summary.eigenvalues < cut))
@@ -545,6 +523,11 @@ class EtaUTable:
         return table
 
 
+def _nearest_m(N: int, beta: float) -> int:
+    """The sample count that realizes the aspect ratio beta = N/m most closely."""
+    return max(1, int(round(N / beta)))
+
+
 def eta_u_table(
     d: int,
     beta_grid: Sequence[float],
@@ -563,13 +546,12 @@ def eta_u_table(
     if beta_grid[0] <= 0 or gamma_grid[0] <= 0:
         raise ValueError("grids must be positive (gamma=0 is handled exactly)")
     uni = uniform_distribution(d)
-    ms = np.unique([max(1, int(round(n ** d / b))) for b in beta_grid])[::-1]
+    ms = np.unique([_nearest_m(n ** d, b) for b in beta_grid])[::-1]
     achieved = np.array([n ** d / m for m in ms])
     values = np.empty((len(ms), len(gamma_grid)))
     for i, m in enumerate(ms):
         summary = aesd(uni, n, int(m), trials, seed=seed + i, threads=threads)
-        lam = summary.eigenvalues
-        values[i] = [float(np.mean(1.0 / (g * lam + 1.0))) for g in gamma_grid]
+        values[i] = [empirical_eta(summary, g) for g in gamma_grid]
     return EtaUTable(
         d=d,
         n=n,
@@ -592,12 +574,28 @@ def build_eta_table(
     seed: int = 42,
     threads: Optional[int] = None,
 ) -> EtaUTable:
-    """Log-spaced table covering the requested spans with 5% padding."""
-    bspan = (beta_span[0] * 0.95, beta_span[1] * 1.05)
+    """Log-spaced table covering the requested spans with 5% padding.
+
+    Each beta node is realized by the nearest integer m, which at small n^d
+    can pull an end of the realized grid inside the span.  Such an end node
+    is realized by the m that covers it instead: ceil(n^d/beta_lo) at the
+    bottom, floor(n^d/beta_hi) at the top.  A beta_hi above n^d needs
+    m < 1, and raises EtaTableRangeError before any trial.
+    """
+    N, (lo, hi) = n ** d, beta_span
+    bgrid = np.geomspace(lo * 0.95, hi * 1.05, beta_nodes)
+    if N / _nearest_m(N, bgrid[0]) > lo * (1 + ETA_RANGE_SLACK):
+        bgrid[0] = N / math.ceil(N / lo)
+    if N / _nearest_m(N, bgrid[-1]) < hi * (1 - ETA_RANGE_SLACK):
+        if N < hi:
+            raise EtaTableRangeError(
+                f"beta span [{lo:.5g}, {hi:.5g}] reaches above n^d = {N}: no m >= 1 realizes it"
+            )
+        bgrid[-1] = N / math.floor(N / hi)
     gspan = (gamma_span[0] * 0.95, gamma_span[1] * 1.05)
     return eta_u_table(
         d,
-        np.geomspace(*bspan, beta_nodes),
+        bgrid,
         np.geomspace(*gspan, gamma_nodes),
         n,
         trials,

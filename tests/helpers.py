@@ -96,20 +96,16 @@ def real_twin(G: np.ndarray) -> np.ndarray:
 def lmmse_complex_reference(V, obs) -> LmmseResult:
     """LMMSE by one complex LU solve of B = sigma_n^-2 beta^-1 V V^H +
     sigma_a^-2 I on [rhs | I]: column 0 is the estimate, the rest is B^-1."""
-    sigma_a2 = obs.field.sigma_a2 if obs.field is not None else obs.gamma * obs.sigma_n2
+    sigma_a2 = obs.field.sigma_a2
     nd, beta = V.n ** V.d, V.beta
     B = (1.0 / (obs.sigma_n2 * beta)) * gram_matrix(V) + (1.0 / sigma_a2) * np.eye(nd)
     rhs = (1.0 / (obs.sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
     sol = np.linalg.solve(B, np.column_stack([rhs, np.eye(nd, dtype=complex)]))
     a_hat = sol[:, 0]
-    if obs.field is not None:
-        err = obs.field.a - a_hat
-        normalized_error = float(np.real(err.conj() @ err)) / (nd * sigma_a2)
-    else:
-        normalized_error = float("nan")
+    err = obs.field.a - a_hat
     return LmmseResult(
         a_hat=a_hat,
-        normalized_error=normalized_error,
+        normalized_error=float(np.real(err.conj() @ err)) / (nd * sigma_a2),
         trace_mse=float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2),
         ill_conditioned=bool(1.0 + obs.gamma * nd / beta > COND_TOL),
     )

@@ -42,6 +42,7 @@ from vanspec.spectral import (
     empirical_eta,
     empirical_moment,
     gram_eigenvalues,
+    histogram,
     transform_scaled_lsd,
 )
 
@@ -271,8 +272,7 @@ def dense_l1():
     out = {}
     for beta, trials in ((0.5, 100), (0.1, 100), (0.01, 200)):
         m = int(round(100 / beta))
-        summary = aesd(dist, 10, m, trials, seed=SEED + 6, bins=24)
-        edges, dens = summary.hist_edges, summary.hist_density
+        edges, dens = histogram(aesd(dist, 10, m, trials, seed=SEED + 6), 24)
         avg = np.empty(len(dens))
         for i in range(len(dens)):
             yy = np.linspace(edges[i], edges[i + 1], 64)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -271,6 +272,26 @@ def _exit_code(argv):
      "--beta 4.94066e-324 at n^d = 256: m = n^d/beta = inf, want 0.5 < m < inf"),
     (["scenario", "dense", "--a-db", "5", "--beta", "0.5,300"],
      "--beta 300 at n^d = 100: m = n^d/beta = 0.333333"),
+    (["scenario", "fading", "--a-db", "5", "--gamma-db", "4000"],
+     "bad dB grid '4000': 4000 dB is inf linear, want a positive finite SNR"),
+    (["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db=-4000"],
+     "bad dB grid '-4000': -4000 dB is 0 linear, want a positive finite SNR"),
+    (["scenario", "csma", "--gamma-db", "0,4000"],
+     "bad dB grid '0,4000': 4000 dB is inf linear"),
+    (["scenario", "fading", "--a-db", "4000"],
+     "bad fading_distribution parameter: a must be finite and > 0 (linear), got inf "
+     "from a_db = 4000"),
+    (["scenario", "dense", "--a-db", "4000"],
+     "bad fading_distribution parameter: a must be finite and > 0 (linear), got inf "
+     "from a_db = 4000"),
+    (["moments", "--dist", "fading:a_db=4000", "--d", "2", "--beta", "1", "--max-p", "2"],
+     "bad --dist 'fading:a_db=4000': a must be finite and > 0 (linear), got inf from a_db = 4000"),
+    (["moments", "--dist", "uniform", "--d", "1", "--n", "4", "--beta", "1e-300", "--max-p", "2"],
+     "--beta 1e-300 at n^d = 4: m = n^d/beta = 4e+300 above desk-scale cap 100000"),
+    (["spectrum", "--dist", "uniform", "--n", "10", "--d", "1", "--beta", "9.9e-5",
+      "--trials", "1"], "m = n^d/beta = 101010 above desk-scale cap 100000"),
+    (["mse", "--dist", "uniform", "--n", "2", "--d", "1", "--beta", "3", "--gamma-db", "0"],
+     "eta table: beta span [3, 3] reaches above n^d = 2: no m >= 1 realizes it"),
 ], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
         "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
         "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p",
@@ -283,7 +304,10 @@ def _exit_code(argv):
         "fading-a-db-minus-inf", "dense-a-db-nan", "csma-lambda1-three", "csma-lambda1-negative",
         "dist-fading-a-db-nan", "moments-beta-leaves-no-sample", "moments-beta-1e300",
         "spectrum-beta-leaves-no-sample", "mse-beta-leaves-no-sample",
-        "holes-beta-leaves-no-sample", "moments-beta-overflows-m", "dense-beta-leaves-no-sample"])
+        "holes-beta-leaves-no-sample", "moments-beta-overflows-m", "dense-beta-leaves-no-sample",
+        "gamma-db-overflows", "gamma-db-underflows", "csma-gamma-db-overflows",
+        "fading-a-db-overflows", "dense-a-db-overflows", "dist-fading-a-db-overflows",
+        "moments-m-above-cap", "spectrum-m-above-cap", "mse-beta-above-n-d"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2
@@ -327,6 +351,16 @@ def test_bad_grid_is_refused_before_the_eta_table(monkeypatch, tmp_path, argv):
     table = tmp_path / "t.json"
     assert main(["--eta-table", str(table)] + argv + ["--out", str(tmp_path / "x.csv")]) == 2
     assert not table.exists()
+
+
+def test_rounded_eta_grid_still_covers_the_request(tmp_path):
+    # m = round(4/beta) pulls both table ends to beta = 1, above the request
+    out = tmp_path / "x.csv"
+    assert main(["mse", "--dist", "uniform", "--d", "1", "--n", "4", "--beta", "0.952",
+                 "--gamma-db", "10", "--trials", "2", "--table-trials", "2",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_rows(str(out))
+    assert math.isfinite(float(rows[0][header.index("mse_asymptotic")]))
 
 
 def test_size_at_cap_is_accepted():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
+from vanspec import spectral
 from vanspec.moments import uniform_moment
 from vanspec.sampling import GxDiscreteAtoms, uniform_distribution
 from vanspec.spectral import (
@@ -29,6 +30,7 @@ from vanspec.spectral import (
     eta_u_table,
     gram_eigenvalues,
     gram_twin,
+    histogram,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
@@ -229,8 +231,8 @@ def test_aesd_rejects_negative_threads_before_any_trial(threads):
 
 def test_aesd_histogram_mass_and_trace():
     s = aesd(uniform_distribution(1), 32, 40, trials=5, seed=2)
-    widths = np.diff(s.hist_edges)
-    assert np.sum(s.hist_density * widths) == pytest.approx(1 - s.total_atom_mass, rel=1e-9)
+    edges, density = histogram(s)
+    assert np.sum(density * np.diff(edges)) == pytest.approx(1 - s.total_atom_mass, rel=1e-9)
     assert empirical_moment(s, 1) == pytest.approx(1.0, abs=0.05)
 
 
@@ -240,24 +242,26 @@ SPLIT_TRIALS = [np.array([1e-6, 1e-3, 1.0]), np.array([1e-4, 0.5, 100.0])]
 
 
 def test_atom_and_histogram_split_one_mask():
-    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, bins=4)
+    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3)
+    edges, density = histogram(s, 4)
     positives = np.concatenate([lam[lam >= ATOM_TOL_REL * lam[-1]] for lam in SPLIT_TRIALS])
     total = sum(lam.size for lam in SPLIT_TRIALS)
     assert positives.size == 4
     assert s.atom_zero_mass == (total - positives.size) / total
     assert np.array_equal(np.sort(positives), s.eigenvalues[~s.atom])
-    counts, _ = np.histogram(positives, bins=s.hist_edges)
+    counts, _ = np.histogram(positives, bins=edges)
     assert counts.sum() == positives.size
-    assert np.allclose(s.hist_density * np.diff(s.hist_edges), counts / total, rtol=1e-12)
+    assert np.allclose(density * np.diff(edges), counts / total, rtol=1e-12)
 
 
 def test_transform_keeps_the_base_atom_mask():
-    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3, bins=4)
-    t = transform_scaled_lsd(base, 0.5, 2.0, bins=4)
+    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3)
+    t = transform_scaled_lsd(base, 0.5, 2.0)
+    edges, density = histogram(t, 4)
     assert np.array_equal(t.atom, base.atom)
-    counts, _ = np.histogram(t.eigenvalues[~t.atom], bins=t.hist_edges)
+    counts, _ = np.histogram(t.eigenvalues[~t.atom], bins=edges)
     assert counts.sum() == np.count_nonzero(~base.atom) == 4
-    assert np.sum(t.hist_density * np.diff(t.hist_edges)) == pytest.approx(
+    assert np.sum(density * np.diff(edges)) == pytest.approx(
         1 - t.total_atom_mass, rel=1e-12)
 
 
@@ -321,8 +325,8 @@ def test_transform_mass_accounting():
     t = transform_scaled_lsd(base, c, beta)
     assert t.extra_zero_mass == pytest.approx(1 - c)
     assert np.allclose(t.eigenvalues, base.eigenvalues / c)
-    widths = np.diff(t.hist_edges)
-    assert np.sum(t.hist_density * widths) == pytest.approx(1 - t.total_atom_mass, rel=1e-9)
+    edges, density = histogram(t)
+    assert np.sum(density * np.diff(edges)) == pytest.approx(1 - t.total_atom_mass, rel=1e-9)
     # eta of the transform follows the scaling law
     for g in (0.5, 2.0):
         assert empirical_eta(t, g) == pytest.approx(
@@ -411,6 +415,25 @@ def test_eta_table_one_gamma_node():
     assert single.eta(0.5, 2.0) == 0.4
     with pytest.raises(EtaTableRangeError):
         single.eta(0.5, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.floats(0.05, 1.0), st.floats(0.0, 1.0))
+def test_built_eta_table_covers_its_beta_span(d, n, lo_frac, width):
+    # at small n^d the nearest m can pull both grid ends inside the span;
+    # the built grid covers it anyway, and a span above n^d is refused
+    N = n ** d
+    lo = lo_frac * N
+    hi = lo + width * (N - lo)
+    tab = build_eta_table(d, n, (lo, hi), (1.0, 2.0), beta_nodes=3, gamma_nodes=2, trials=1)
+    tab.check_covers((lo, hi), (1.0, 2.0))
+    assert np.allclose(N / tab.beta_grid, np.round(N / tab.beta_grid), rtol=1e-12)
+
+
+def test_built_eta_table_refuses_a_span_above_n_d(monkeypatch):
+    monkeypatch.setattr(spectral, "aesd", lambda *a, **k: pytest.fail("trial drawn"))
+    with pytest.raises(EtaTableRangeError, match=r"beta span \[1, 3\] reaches above n\^d = 2"):
+        build_eta_table(1, 2, (1.0, 3.0), (1.0, 2.0), trials=1)
 
 
 def test_eta_table_matches_direct_simulation():
@@ -527,7 +550,9 @@ def assert_pchip_matches_scipy(x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     q = np.concatenate([x, np.linspace(x[0], x[-1], 41)])
     ref = PchipInterpolator(x, y, extrapolate=False)(q)
-    tol = dict(rtol=1e-13, atol=1e-13 * np.abs(y).max())
+    # the atol floor of a few subnormal ulps binds only for max|y| below ~1e-310
+    tol = dict(rtol=1e-13, atol=max(1e-13 * np.abs(y).max(),
+                                    4 * np.finfo(float).smallest_subnormal))
     np.testing.assert_allclose(_pchip(x, y[:, None], q), ref, **tol)
     cols = np.repeat(y[:, None], q.size, axis=1)
     np.testing.assert_allclose(_pchip(x, cols, q), ref, **tol)
@@ -562,6 +587,7 @@ def test_pchip_cases_hit_the_end_rules():
     st.lists(st.floats(0.01, 3.0), min_size=k - 1, max_size=k - 1),
     st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0), min_size=k, max_size=k),
 )))
+@example(([1.0, 1.0], [0, 0, 2.2250738585e-313]))  # subnormal data: one ulp apart
 def test_pchip_matches_scipy_random(case):
     # small integers make exact flat runs and sign changes common
     gaps, y = case
