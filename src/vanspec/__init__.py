@@ -7,7 +7,6 @@ from .moments import (  # noqa: F401
     asymptotic_moment,
     density_power_integrals,
     moment_table,
-    uniform_moment,
 )
 from .partitions import (  # noqa: F401
     SetPartition,
@@ -17,9 +16,7 @@ from .partitions import (  # noqa: F401
     vandermonde_coefficient,
 )
 from .reconstruct import (  # noqa: F401
-    FieldSpectrum,
     LmmseResult,
-    Observation,
     generate_spectrum,
     lmmse,
     mse_monte_carlo,

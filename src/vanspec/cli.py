@@ -113,8 +113,8 @@ GAMMA_GRID_CAP = 1000  # most points in a --gamma-db range: a desk-scale sweep
 
 def parse_db_grid(text: str) -> list[float]:
     """Comma list or 'start:step:stop' range (at most GAMMA_GRID_CAP points)
-    of finite dB values, strictly increasing, each with a positive and
-    finite linear value."""
+    of finite dB values, strictly increasing, each with a linear value gamma
+    such that gamma and the noise power 1/gamma are positive and finite."""
     parts = text.split(":")
     if len(parts) == 1:
         vals = parse_float_list(text)
@@ -136,9 +136,10 @@ def parse_db_grid(text: str) -> list[float]:
     if any(b >= a for a, b in zip(vals[1:], vals)):
         raise UsageError("gamma grid must be strictly increasing")
     for v in vals:
-        if not 0 < db_to_linear(v) < np.inf:
-            raise UsageError(f"bad dB grid {text!r}: {v:g} dB is {db_to_linear(v):g} linear, "
-                             "want a positive finite SNR")
+        gamma = db_to_linear(v)
+        if not (0 < gamma < np.inf and 1.0 / gamma < np.inf):
+            raise UsageError(f"bad dB grid {text!r}: {v:g} dB is {gamma:g} linear, "
+                             "want a positive finite SNR whose noise power 1/SNR is finite")
     return vals
 
 
@@ -432,7 +433,7 @@ def cmd_mse(args) -> int:
         ests = mse_monte_carlo(dist, args.n, args.d, m, gammas,
                                trials=args.trials, seed=args.seed, threads=args.threads)
         for gdb, gamma, est in zip(gammas_db, gammas, ests):
-            pred = asymptotic_mse(dist.gx, dist.support_measure, args.d, beta, gamma, eta)
+            pred = asymptotic_mse(dist, beta, gamma, eta)
             rows.append((beta, gdb, est.mean_normalized_error, est.mean_trace_mse,
                          pred, est.stderr_normalized_error))
     config = {
@@ -466,7 +467,7 @@ def cmd_scenario_fading(args) -> int:
         for gdb in gammas_db:
             gamma = db_to_linear(gdb)
             rows.append(("fu", beta, gdb, eta.eta(beta, gamma / beta)))
-            rows.append(("fx", beta, gdb, asymptotic_mse(dist.gx, 1.0, 2, beta, gamma, eta)))
+            rows.append(("fx", beta, gdb, asymptotic_mse(dist, beta, gamma, eta)))
     config = {"a_db": args.a_db, "beta": betas, "gamma_db": gammas_db,
               "n": args.n, "table_trials": args.table_trials}
     write_table(args.out, "scenario-fading", config, args.seed,
@@ -483,15 +484,16 @@ def cmd_scenario_csma(args) -> int:
     else:
         hier = from_factory(quadrant_hierarchy, parse_float_list(args.lambda1))
     prof = from_factory(csma_success_profile, hier)
+    dist = prof.distribution
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
-    eta, eta_meta = mixture_eta_table(args, prof.distribution, betas, gammas_db)
+    eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db)
     rows = []
     for gdb in gammas_db:
         gamma = db_to_linear(gdb)
         for beta in betas:
             rows.append(("fu", gdb, beta, eta.eta(beta, gamma / beta)))
-            rows.append(("fx", gdb, beta, prof.mse(beta, gamma, eta)))
+            rows.append(("fx", gdb, beta, asymptotic_mse(dist, beta, gamma, eta)))
     config = {
         "areas": list(hier.areas), "H": hier.H, "m": [list(r) for r in hier.nodes],
         "lambda1": list(hier.lambda1), "beta": betas, "gamma_db": gammas_db, "n": args.n,

@@ -62,11 +62,6 @@ def asymptotic_moment(
     )
 
 
-def uniform_moment(p: int, d: int, beta: float) -> float:
-    """Moment for uniformly distributed phases (every I_k = 1)."""
-    return asymptotic_moment(p, d, beta, [1.0] * p)
-
-
 def moment_table(dist: SamplingDistribution, d: int, beta: float, P: int) -> tuple[float, ...]:
     """Moments (M_1, ..., M_P) for a sampling distribution; it needs a g_x."""
     if d != dist.d:

@@ -1,7 +1,10 @@
 """Bandlimited field synthesis, noisy sensor observation, LMMSE recovery.
 
-The reconstruction error of the LMMSE filter on a realized sampling matrix
-V equals the empirical eta-transform of V V^H at gamma/beta; both the
+The field is its spectrum a, a plain complex vector of unit power; a
+trial observes it once (noiseless samples s and one noise draw z) and
+forms the received samples s + sqrt(sigma_n2 / 2) z at each SNR.  The
+reconstruction error of the LMMSE filter on a realized sampling matrix V
+equals the empirical eta-transform of V V^H at gamma/beta; both the
 filtered estimate and the trace form of the error are provided so the
 identity can be verified numerically rather than by construction.
 """
@@ -26,27 +29,6 @@ COND_TOL = 1e12
 
 
 @dataclass(frozen=True)
-class FieldSpectrum:
-    """Complex field spectrum with E[a a^H] = sigma_a^2 I."""
-
-    a: np.ndarray
-    sigma_a2: float
-    n: int
-    d: int
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Received samples p = s + noise, with s the noiseless samples."""
-
-    p: np.ndarray
-    s: np.ndarray
-    sigma_n2: float
-    gamma: float
-    field: FieldSpectrum
-
-
-@dataclass(frozen=True)
 class LmmseResult:
     a_hat: np.ndarray
     normalized_error: float
@@ -54,70 +36,62 @@ class LmmseResult:
     ill_conditioned: bool
 
 
-def _complex_normal(rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """re + i im with i.i.d. unit-normal parts (so E|z|^2 = 2)."""
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-def generate_spectrum(n: int, d: int, sigma_a2: float, seed) -> FieldSpectrum:
-    """i.i.d. circularly symmetric complex Gaussian spectrum."""
-    if sigma_a2 <= 0:
-        raise ValueError("sigma_a2 must be > 0")
+def generate_spectrum(n: int, d: int, seed) -> np.ndarray:
+    """Field spectrum a of n^d i.i.d. circularly symmetric complex Gaussian
+    coefficients with E[a a^H] = I."""
     rng = np.random.default_rng(seed)
-    a = _complex_normal(rng, n ** d, sigma_a2)
-    return FieldSpectrum(a=a, sigma_a2=sigma_a2, n=n, d=d)
+    return np.sqrt(0.5) * _complex_normal(rng, n ** d)
 
 
-def observe(V: DFoldVandermonde, spec: FieldSpectrum, sigma_n2: float, seed) -> Observation:
-    """Noisy samples p = beta^(-1/2) V^H a + white complex Gaussian noise."""
-    if sigma_n2 < 0:
-        raise ValueError("sigma_n2 must be >= 0")
-    if spec.n != V.n or spec.d != V.d:
-        raise ValueError("field spectrum size does not match the matrix")
-    s = V.beta ** -0.5 * V.rmatvec(spec.a)
-    if sigma_n2 > 0:
-        rng = np.random.default_rng(seed)
-        noise = _complex_normal(rng, V.m, sigma_n2)
-    else:
-        noise = np.zeros(V.m, dtype=complex)
-    gamma = spec.sigma_a2 / sigma_n2 if sigma_n2 > 0 else np.inf
-    return Observation(p=s + noise, s=s, sigma_n2=sigma_n2, gamma=gamma, field=spec)
+def observe(V: DFoldVandermonde, a: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless samples s = beta^(-1/2) V^H a and one noise draw z.
 
-
-def lmmse(V: DFoldVandermonde, obs: Observation) -> LmmseResult:
-    """LMMSE estimate of the spectrum and the trace form of its error.
-
-    The estimate solves B a = rhs with B = sigma_n^-2 beta^-1 V V^H +
-    sigma_a^-2 I, and B^-1, the error covariance, gives trace_mse
-    independently of any eigendecomposition.  V V^H is the Toeplitz Gram
-    that the spectra use, and B is solved as its real twin B_R = S^H B S
-    (see gram_twin, read from V.lmmse_twin so that every SNR on one V shares
-    it): one real LU solve of B_R X = [Re y | Im y | I] with
-    y = sqrt(2) S^H rhs = rhs - i J rhs, so a = S B_R^-1 S^H rhs =
-    (z + i J z) / 2 with z = X_0 + i X_1, and tr B^-1 = tr B_R^-1.
+    The received samples at noise power sigma_n2 are
+    p = s + sqrt(sigma_n2 / 2) * z, so one draw serves every SNR.
     """
-    if not np.isfinite(obs.gamma) or obs.sigma_n2 <= 0:
-        raise ValueError("lmmse needs sigma_n2 > 0 (finite gamma)")
-    sigma_a2 = obs.field.sigma_a2
-    sigma_n2 = obs.sigma_n2
+    if a.shape != (V.n ** V.d,):
+        raise ValueError("field spectrum size does not match the matrix")
+    s = V.beta ** -0.5 * V.rmatvec(a)
+    return s, _complex_normal(np.random.default_rng(seed), V.m)
+
+
+def lmmse(V: DFoldVandermonde, a: np.ndarray, p: np.ndarray, sigma_n2: float) -> LmmseResult:
+    """LMMSE estimate of the spectrum a from the samples p, and the trace
+    form of its error, at noise power sigma_n2 (a has unit power).
+
+    The estimate solves B a = rhs with B = sigma_n^-2 beta^-1 V V^H + I, and
+    B^-1, the error covariance, gives trace_mse independently of any
+    eigendecomposition.  V V^H is the Toeplitz Gram that the spectra use,
+    and B is solved as its real twin B_R = S^H B S (see gram_twin, read from
+    V.lmmse_twin so that every SNR on one V shares it): one real LU solve of
+    B_R X = [Re y | Im y | I] with y = sqrt(2) S^H rhs = rhs - i J rhs, so
+    a = S B_R^-1 S^H rhs = (z + i J z) / 2 with z = X_0 + i X_1, and
+    tr B^-1 = tr B_R^-1.  The realized error |a - a_hat|^2 / n^d is
+    normalized_error.
+    """
+    if not 0 < sigma_n2 < np.inf:
+        raise ValueError(f"lmmse needs a finite sigma_n2 > 0, got {sigma_n2}")
     nd = V.n ** V.d
     beta = V.beta
 
-    B_R = (1.0 / (sigma_n2 * beta)) * V.lmmse_twin + (1.0 / sigma_a2) * np.eye(nd)
-    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
+    B_R = (1.0 / (sigma_n2 * beta)) * V.lmmse_twin + np.eye(nd)
+    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(p)
     y = rhs - 1j * rhs[::-1]
     X = np.linalg.solve(B_R, np.column_stack([y.real, y.imag, np.eye(nd)]))
     z = X[:, 0] + 1j * X[:, 1]
     a_hat = (z + 1j * z[::-1]) / 2
-    trace_mse = float(np.trace(X[:, 2:])) / (nd * sigma_a2)
-    err = obs.field.a - a_hat
-    normalized_error = float(np.real(err.conj() @ err)) / (nd * sigma_a2)
+    err = a - a_hat
 
-    cond_bound = 1.0 + obs.gamma * nd / beta
+    cond_bound = 1.0 + (1.0 / sigma_n2) * nd / beta
     return LmmseResult(
         a_hat=a_hat,
-        normalized_error=normalized_error,
-        trace_mse=trace_mse,
+        normalized_error=float(np.real(err.conj() @ err)) / nd,
+        trace_mse=float(np.trace(X[:, 2:])) / nd,
         ill_conditioned=bool(cond_bound > COND_TOL),
     )
 
@@ -143,10 +117,11 @@ def mse_monte_carlo(
     """Average LMMSE error over independent (V, a, noise) draws, one
     estimate per SNR in gammas.
 
-    Each trial draws its points, field spectrum and unit noise once and
-    observes and solves that one V at every gamma (common random numbers),
-    so each estimate equals a sweep over its gamma alone, bit for bit; the
-    stderr is per gamma, and the estimates are correlated across gamma.
+    Each trial draws its points, field spectrum and noise once, observes V
+    once, and solves at every gamma with the noise scaled to
+    sigma_n2 = 1/gamma (common random numbers), so each estimate equals a
+    sweep over its gamma alone, bit for bit; the stderr is per gamma, and
+    the estimates are correlated across gamma.
     Both estimators (realized reconstruction error and the trace formula)
     target MSE^(n); their agreement is a consistency check.
     """
@@ -155,20 +130,20 @@ def mse_monte_carlo(
         raise ValueError("trials must be >= 1")
     if not gammas:
         raise ValueError("gammas must not be empty")
-    if not all(g > 0 and np.isfinite(g) for g in gammas):
-        raise ValueError(f"every gamma must be positive and finite, got {gammas}")
+    if not all(0 < g < np.inf and 1.0 / g < np.inf for g in gammas):
+        raise ValueError(f"every gamma and 1/gamma must be positive and finite, got {gammas}")
     if d != dist.d:
         raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
-    sigma_a2 = 1.0
+    sigma_n2s = [1.0 / gamma for gamma in gammas]
 
     def one(t: int) -> list[tuple[float, float]]:
-        ss = trial_seed(seed, t)
-        s_pts, s_field, s_noise = ss.spawn(3)
+        s_pts, s_field, s_noise = trial_seed(seed, t).spawn(3)
         V = build_vandermonde(dist, n, m, s_pts)
-        spec = generate_spectrum(n, d, sigma_a2, s_field)
+        a = generate_spectrum(n, d, s_field)
+        s, z = observe(V, a, s_noise)
         out = []
-        for gamma in gammas:
-            res = lmmse(V, observe(V, spec, sigma_a2 / gamma, s_noise))
+        for sigma_n2 in sigma_n2s:
+            res = lmmse(V, a, s + np.sqrt(sigma_n2 / 2.0) * z, sigma_n2)
             out.append((res.trace_mse, res.normalized_error))
         return out
 

@@ -39,7 +39,6 @@ class GxClosedForm:
     density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     breakpoints: tuple[float, ...] = ()
-    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Cosine-mapped Gauss-Legendre nodes on each piece between the support

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .sampling import GxClosedForm, GxDiscreteAtoms, SamplingDistribution
-from .spectral import EtaCallable, asymptotic_mse
 
 
 def db_to_linear(x_db: float) -> float:
@@ -60,25 +59,7 @@ def fading_gx(a: float) -> GxClosedForm:
             out[inner] = (np.pi - 4.0 * np.arccos(1.0 / (2.0 * r))) / (a * y[inner])
         return out
 
-    def cdf(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        out[y >= hi] = 1.0
-        outer = (y >= brk) & (y < hi)
-        if np.any(outer):
-            r = np.sqrt(np.log(b / y[outer]) / a)
-            out[outer] = 1.0 - np.pi * r ** 2
-        inner = (y >= lo) & (y < brk)
-        if np.any(inner):
-            r = np.sqrt(np.log(b / y[inner]) / a)
-            out[inner] = (
-                1.0
-                - np.sqrt(4.0 * r ** 2 - 1.0)
-                - r ** 2 * (np.pi - 4.0 * np.arccos(1.0 / (2.0 * r)))
-            )
-        return out
-
-    return GxClosedForm(density=density, support=(float(lo), float(hi)), breakpoints=(float(brk),), cdf=cdf)
+    return GxClosedForm(density=density, support=(float(lo), float(hi)), breakpoints=(float(brk),))
 
 
 def fading_distribution(a_db: float) -> SamplingDistribution:
@@ -219,7 +200,8 @@ class ClusterHierarchy:
 
 @dataclass(frozen=True)
 class CsmaProfile:
-    """Per-area delivery probabilities and the induced sampling distribution."""
+    """Per-area delivery probabilities and the induced sampling distribution
+    (its g_x: one atom per covered area)."""
 
     hierarchy: ClusterHierarchy
     loads: np.ndarray  # (L, H) offered load per node
@@ -228,12 +210,6 @@ class CsmaProfile:
     success: np.ndarray  # (L,) end-to-end P_s(i)
     normalized_success: np.ndarray  # (L,) p_s(i)
     distribution: SamplingDistribution
-    gx: GxDiscreteAtoms
-
-    def mse(self, beta: float, gamma: float, eta_u: EtaCallable) -> float:
-        return asymptotic_mse(
-            self.gx, self.distribution.support_measure, 2, beta, gamma, eta_u
-        )
 
 
 def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
@@ -284,15 +260,14 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
         z2 = rng.random(m) - 0.5
         return np.stack([z1, z2], axis=1)
 
-    gx = GxDiscreteAtoms(
-        atoms=tuple((float(p_s[i]), float(areas[i])) for i in range(L) if covered[i])
-    )
     dist = SamplingDistribution(
         d=2,
         density=density,
         support_measure=support,
         sampler=sampler,
-        gx=gx,
+        gx=GxDiscreteAtoms(
+            atoms=tuple((float(p_s[i]), float(areas[i])) for i in range(L) if covered[i])
+        ),
         id=f"csma-L{L}-H{H}",
     )
     return CsmaProfile(
@@ -303,7 +278,6 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
         success=ps,
         normalized_success=p_s,
         distribution=dist,
-        gx=gx,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sampling import GxRepresentation, SamplingDistribution
+from .sampling import SamplingDistribution
 
 # Eigenvalues below ATOM_TOL_REL x (largest eigenvalue of the trial) count as
 # the atom at zero.  1e-4 captures the exponentially collapsing cluster that
@@ -609,14 +609,13 @@ EtaCallable = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def eta_mixture(
-    gx: GxRepresentation,
-    support_measure: float,
-    d: int,
+    dist: SamplingDistribution,
     beta: float,
     gamma: float,
     eta_u: EtaCallable,
 ) -> float:
-    """eta_x(d, beta, gamma) = 1 - |A| + |A| * int g_x(y) eta_u(beta/y, gamma*y) dy.
+    """eta_x(d, beta, gamma) = 1 - |A| + |A| * int g_x(y) eta_u(beta/y, gamma*y) dy,
+    with g_x, |A| = dist.support_measure and d read from dist.
 
     The integral is the finite weighted sum over g_x's nodes_weights: exact
     for atoms, a fixed Gauss-Legendre rule for closed forms.
@@ -624,20 +623,18 @@ def eta_mixture(
     """
     if gamma == 0.0:
         return 1.0
-    if isinstance(eta_u, EtaUTable) and eta_u.d != d:
-        raise ValueError(f"eta_u table has d={eta_u.d}, mixture needs d={d}")
-    y, w = gx.nodes_weights()
-    A = support_measure
+    if isinstance(eta_u, EtaUTable) and eta_u.d != dist.d:
+        raise ValueError(f"eta_u table has d={eta_u.d}, mixture needs d={dist.d}")
+    y, w = dist.gx.nodes_weights()
+    A = dist.support_measure
     return 1.0 - A + A * float(np.sum(w * eta_u(beta / y, gamma * y)))
 
 
 def asymptotic_mse(
-    gx: GxRepresentation,
-    support_measure: float,
-    d: int,
+    dist: SamplingDistribution,
     beta: float,
     gamma: float,
     eta_u: EtaCallable,
 ) -> float:
     """MSE_inf = eta_x(d, beta, gamma/beta)."""
-    return eta_mixture(gx, support_measure, d, beta, gamma / beta, eta_u)
+    return eta_mixture(dist, beta, gamma / beta, eta_u)

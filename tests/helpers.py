@@ -6,9 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from vanspec.moments import asymptotic_moment
 from vanspec.partitions import SetPartition, _first_occurrence
-from vanspec.reconstruct import COND_TOL, FieldSpectrum, LmmseResult
+from vanspec.reconstruct import COND_TOL, LmmseResult
 from vanspec.sampling import SamplingDistribution
+from vanspec.scenarios import _fading_b
 from vanspec.spectral import DFoldVandermonde, _gram_view, _khatri_rao
 
 
@@ -93,22 +95,32 @@ def real_twin(G: np.ndarray) -> np.ndarray:
     return G.real - G.imag[:, ::-1]
 
 
-def lmmse_complex_reference(V, obs) -> LmmseResult:
-    """LMMSE by one complex LU solve of B = sigma_n^-2 beta^-1 V V^H +
-    sigma_a^-2 I on [rhs | I]: column 0 is the estimate, the rest is B^-1."""
-    sigma_a2 = obs.field.sigma_a2
+def received(s: np.ndarray, z: np.ndarray, sigma_n2: float) -> np.ndarray:
+    """Samples received at noise power sigma_n2 from observe's (s, z), formed
+    as mse_monte_carlo forms them."""
+    return s + np.sqrt(sigma_n2 / 2.0) * z
+
+
+def lmmse_complex_reference(V, a, p, sigma_n2) -> LmmseResult:
+    """LMMSE by one complex LU solve of B = sigma_n^-2 beta^-1 V V^H + I on
+    [rhs | I]: column 0 is the estimate, the rest is B^-1."""
     nd, beta = V.n ** V.d, V.beta
-    B = (1.0 / (obs.sigma_n2 * beta)) * gram_matrix(V) + (1.0 / sigma_a2) * np.eye(nd)
-    rhs = (1.0 / (obs.sigma_n2 * np.sqrt(beta))) * V.matvec(obs.p)
+    B = (1.0 / (sigma_n2 * beta)) * gram_matrix(V) + np.eye(nd)
+    rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(p)
     sol = np.linalg.solve(B, np.column_stack([rhs, np.eye(nd, dtype=complex)]))
     a_hat = sol[:, 0]
-    err = obs.field.a - a_hat
+    err = a - a_hat
     return LmmseResult(
         a_hat=a_hat,
-        normalized_error=float(np.real(err.conj() @ err)) / (nd * sigma_a2),
-        trace_mse=float(np.real(np.trace(sol[:, 1:]))) / (nd * sigma_a2),
-        ill_conditioned=bool(1.0 + obs.gamma * nd / beta > COND_TOL),
+        normalized_error=float(np.real(err.conj() @ err)) / nd,
+        trace_mse=float(np.real(np.trace(sol[:, 1:]))) / nd,
+        ill_conditioned=bool(1.0 + (1.0 / sigma_n2) * nd / beta > COND_TOL),
     )
+
+
+def uniform_moment(p: int, d: int, beta: float) -> float:
+    """Asymptotic moment for uniformly distributed phases (every I_k = 1)."""
+    return asymptotic_moment(p, d, beta, [1.0] * p)
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +191,53 @@ def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
     return np.ascontiguousarray(_gram_view(V).reshape(V.n ** V.d, V.n ** V.d))
 
 
-def synthesize_field(spec: FieldSpectrum, x) -> complex | np.ndarray:
+def synthesize_field(a: np.ndarray, n: int, d: int, x) -> complex | np.ndarray:
     """Field value n^(-d/2) sum_l a_nu(l) exp(+2*pi*i l.x) at point(s) x."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    L = multi_indices(spec.n, spec.d)
-    phases = pts @ L.T  # (q, n^d)
-    vals = (np.exp(2j * np.pi * phases) @ spec.a) * spec.n ** (-spec.d / 2)
+    phases = pts @ multi_indices(n, d).T  # (q, n^d)
+    vals = (np.exp(2j * np.pi * phases) @ a) * n ** (-d / 2)
     return complex(vals[0]) if single else vals
 
 
 # ---------------------------------------------------------------------------
-# measured density of the density
+# density of the density
+
+
+def gx_distribution(gx, support_measure: float = 1.0, d: int = 1) -> SamplingDistribution:
+    """A distribution that holds only what the g_x mixture reads: g_x, |A| and d."""
+    return SamplingDistribution(d=d, density=None, support_measure=support_measure,
+                                sampler=None, gx=gx, id="gx-only")
+
+
+def fading_gx_cdf(a: float):
+    """CDF of the fading g_x (linear threshold ratio a), from the area of the
+    density's level sets: 1 - pi r^2 while the level circle of radius r lies
+    inside the unit square, and 1 - sqrt(4 r^2 - 1) - r^2 (pi - 4 arccos(1/(2r)))
+    once the square clips it (r > 1/2)."""
+    b = _fading_b(a)
+    lo, brk, hi = b * np.exp(-a / 2.0), b * np.exp(-a / 4.0), b
+
+    def cdf(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        out = np.zeros_like(y)
+        out[y >= hi] = 1.0
+        outer = (y >= brk) & (y < hi)
+        if np.any(outer):
+            r = np.sqrt(np.log(b / y[outer]) / a)
+            out[outer] = 1.0 - np.pi * r ** 2
+        inner = (y >= lo) & (y < brk)
+        if np.any(inner):
+            r = np.sqrt(np.log(b / y[inner]) / a)
+            out[inner] = (
+                1.0
+                - np.sqrt(4.0 * r ** 2 - 1.0)
+                - r ** 2 * (np.pi - 4.0 * np.arccos(1.0 / (2.0 * r)))
+            )
+        return out
+
+    return cdf
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import pytest
 from scipy import integrate
 
 from vanspec.cli import main as cli_main
-from vanspec.moments import uniform_moment
 from vanspec.partitions import (
     _fit_coefficient,
     enumerate_partitions,
@@ -46,7 +45,7 @@ from vanspec.spectral import (
     transform_scaled_lsd,
 )
 
-from helpers import empirical_density_of_density, partition_from_blocks
+from helpers import empirical_density_of_density, partition_from_blocks, received, uniform_moment
 
 SEED = 42
 
@@ -85,7 +84,7 @@ def csma_profiles():
 def csma_tables(csma_profiles):
     out = {}
     for key, prof in csma_profiles.items():
-        ys = [y for y, _ in prof.gx.atoms]
+        ys = [y for y, _ in prof.distribution.gx.atoms]
         betas, gammas = (0.2, 0.8), (1.0, 100.0)
         out[key] = build_eta_table(
             2, 10,
@@ -133,9 +132,9 @@ def test_c01_lmmse_identity():
         gamma = float(10 ** rng.uniform(-1, 2))
         dist = uniform_distribution(d)
         V = build_vandermonde(dist, n, m, seed=rng.integers(2 ** 31))
-        spec = generate_spectrum(n, d, 1.0, seed=rng.integers(2 ** 31))
-        obs = observe(V, spec, 1.0 / gamma, seed=rng.integers(2 ** 31))
-        res = lmmse(V, obs)
+        a = generate_spectrum(n, d, seed=rng.integers(2 ** 31))
+        s, z = observe(V, a, seed=rng.integers(2 ** 31))
+        res = lmmse(V, a, received(s, z, 1.0 / gamma), 1.0 / gamma)
         lam = gram_eigenvalues(V)
         eta = float(np.mean(1.0 / (gamma / V.beta * lam + 1.0)))
         worst = max(worst, abs(res.trace_mse - eta))
@@ -223,10 +222,10 @@ def test_c05a_floor_predicted(hole_table):
     worst_margin = np.inf
     corner = {}
     for c in (0.5, 0.8):
-        gx = hole_distribution(c).gx
+        dist = hole_distribution(c)
         for beta in GRID_BETA:
             for gdb in GRID_GDB:
-                pred = asymptotic_mse(gx, c, 1, beta, db_to_linear(gdb), hole_table)
+                pred = asymptotic_mse(dist, beta, db_to_linear(gdb), hole_table)
                 worst_margin = min(worst_margin, pred - (1 - c))
                 if beta == 0.01 and gdb == 30.0:
                     corner[c] = pred
@@ -339,9 +338,9 @@ def _cross_validation_grid(fading_table, csma_profiles, csma_tables):
         fading = mse_monte_carlo(dist, 10, 2, m, gammas, trials=100, seed=SEED + 8)
         csma = mse_monte_carlo(prof.distribution, 10, 2, m, gammas, trials=100, seed=SEED + 9)
         for gdb, gamma, f_est, c_est in zip(gdbs, gammas, fading, csma):
-            pred = asymptotic_mse(dist.gx, 1.0, 2, beta, gamma, fading_table)
+            pred = asymptotic_mse(dist, beta, gamma, fading_table)
             rows.append(("fading", beta, gdb, pred, f_est.mean_trace_mse))
-            pred = prof.mse(beta, gamma, csma_tables["fig6"])
+            pred = asymptotic_mse(prof.distribution, beta, gamma, csma_tables["fig6"])
             rows.append(("csma", beta, gdb, pred, c_est.mean_trace_mse))
     return rows
 
@@ -401,7 +400,7 @@ def test_c09_monotonicity(fading_table, csma_profiles, csma_tables):
     for gdb in (0.0, 10.0, 20.0, 30.0):
         gamma = db_to_linear(gdb)
         curves.append(("fading fx", gdb,
-                       [asymptotic_mse(dist.gx, 1.0, 2, b, gamma, fading_table) for b in betas]))
+                       [asymptotic_mse(dist, b, gamma, fading_table) for b in betas]))
         curves.append(("fading fu", gdb,
                        [fading_table.eta(b, gamma / b) for b in betas]))
     for key in ("fig6", "fig7"):
@@ -409,7 +408,7 @@ def test_c09_monotonicity(fading_table, csma_profiles, csma_tables):
         for gdb in (0.0, 10.0, 20.0):
             gamma = db_to_linear(gdb)
             curves.append((f"csma {key}", gdb,
-                           [prof.mse(b, gamma, tab) for b in betas]))
+                           [asymptotic_mse(prof.distribution, b, gamma, tab) for b in betas]))
             curves.append((f"uniform {key}", gdb,
                            [tab.eta(b, gamma / b) for b in betas]))
     bad = [f"{name} @ {gdb:g}dB" for name, gdb, vals in curves

@@ -292,6 +292,10 @@ def _exit_code(argv):
       "--trials", "1"], "m = n^d/beta = 101010 above desk-scale cap 100000"),
     (["mse", "--dist", "uniform", "--n", "2", "--d", "1", "--beta", "3", "--gamma-db", "0"],
      "eta table: beta span [3, 3] reaches above n^d = 2: no m >= 1 realizes it"),
+    (["mse", "--dist", "uniform", "--n", "4", "--d", "1", "--beta", "0.5", "--gamma-db=-3230",
+      "--trials", "2", "--table-trials", "2"],
+     "bad dB grid '-3230': -3230 dB is 9.88131e-324 linear, want a positive finite SNR "
+     "whose noise power 1/SNR is finite"),
 ], ids=["bins-0", "empty-beta", "empty-gamma-db", "hole-c-out-of-range",
         "spectrum-beta-negative", "moments-beta-zero", "mse-beta-negative", "max-p-8",
         "max-p-0", "partitions-p-8", "partitions-k-0", "partitions-k-above-p",
@@ -307,7 +311,8 @@ def _exit_code(argv):
         "holes-beta-leaves-no-sample", "moments-beta-overflows-m", "dense-beta-leaves-no-sample",
         "gamma-db-overflows", "gamma-db-underflows", "csma-gamma-db-overflows",
         "fading-a-db-overflows", "dense-a-db-overflows", "dist-fading-a-db-overflows",
-        "moments-m-above-cap", "spectrum-m-above-cap", "mse-beta-above-n-d"])
+        "moments-m-above-cap", "spectrum-m-above-cap", "mse-beta-above-n-d",
+        "mse-gamma-db-noise-power-overflows"])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert _exit_code(argv + ["--out", str(out)]) == 2
@@ -342,7 +347,9 @@ def test_size_above_cap_is_usage_error_before_any_work(monkeypatch, tmp_path, ca
     ["scenario", "fading", "--a-db", "5", "--gamma-db=nan"],
     ["scenario", "fading", "--a-db", "5", "--gamma-db", "0:1e-12:10"],
     ["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5,100", "--gamma-db", "0"],
-], ids=["gamma-db-nan", "gamma-db-above-cap", "beta-leaves-no-sample"])
+    ["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--beta", "0.5", "--gamma-db=-3230"],
+], ids=["gamma-db-nan", "gamma-db-above-cap", "beta-leaves-no-sample",
+        "gamma-db-noise-power-overflows"])
 def test_bad_grid_is_refused_before_the_eta_table(monkeypatch, tmp_path, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("eta table built before the grid check")

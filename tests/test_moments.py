@@ -11,7 +11,6 @@ from vanspec.moments import (
     asymptotic_moment,
     density_power_integrals,
     moment_table,
-    uniform_moment,
 )
 from vanspec.sampling import uniform_distribution
 from vanspec.scenarios import (
@@ -22,6 +21,8 @@ from vanspec.scenarios import (
     hole_distribution,
     quadrant_hierarchy,
 )
+
+from helpers import uniform_moment
 
 K_MAX = 7
 KS = range(1, K_MAX + 1)
@@ -48,7 +49,8 @@ def test_integrals_fading_closed_form(a_db):
 def test_integrals_csma_closed_form(lambda1):
     # piecewise-constant density: sum of area * p^k over the strips
     prof = csma_success_profile(quadrant_hierarchy(lambda1))
-    ref = [sum(area * p ** k for p, area in prof.gx.atoms) for k in KS]
+    strips = list(zip(prof.normalized_success, prof.hierarchy.areas))
+    ref = [sum(area * p ** k for p, area in strips) for k in KS]
     I = density_power_integrals(prof.distribution, K_MAX)
     assert I == pytest.approx(ref, rel=1e-12, abs=0)
 

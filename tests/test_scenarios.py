@@ -16,7 +16,7 @@ from vanspec.scenarios import (
 )
 from vanspec.spectral import asymptotic_mse
 
-from helpers import empirical_density_of_density, sampler_chi2_pvalue
+from helpers import empirical_density_of_density, fading_gx_cdf, sampler_chi2_pvalue
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +56,23 @@ def test_fading_density_ratio():
 def test_fading_gx_normalizes_and_cdf_consistent():
     for a_db in (0.0, 5.0, 10.0):
         gx = fading_gx(db_to_linear(a_db))
+        cdf = fading_gx_cdf(db_to_linear(a_db))
         lo, hi = gx.support
         total, _ = integrate.quad(
             lambda y: float(gx.density(np.array([y]))[0]),
             lo, hi, points=list(gx.breakpoints), limit=200,
         )
         assert total == pytest.approx(1.0, abs=1e-6)
-        # cdf endpoints and mid-consistency with the integrated density
-        assert gx.cdf(np.array([lo]))[0] == pytest.approx(0.0, abs=1e-12)
-        assert gx.cdf(np.array([hi - 1e-12]))[0] == pytest.approx(1.0, abs=1e-9)
-        mid = 0.5 * (gx.breakpoints[0] + hi)
-        part, _ = integrate.quad(
-            lambda y: float(gx.density(np.array([y]))[0]),
-            lo, mid, points=list(gx.breakpoints), limit=200,
-        )
-        assert gx.cdf(np.array([mid]))[0] == pytest.approx(part, abs=1e-8)
+        # the oracle's cdf at the support ends
+        assert cdf(np.array([lo]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert cdf(np.array([hi - 1e-12]))[0] == pytest.approx(1.0, abs=1e-9)
+        # and on both branches, against the integrated density
+        for mid in (0.5 * (lo + gx.breakpoints[0]), 0.5 * (gx.breakpoints[0] + hi)):
+            part, _ = integrate.quad(
+                lambda y: float(gx.density(np.array([y]))[0]),
+                lo, mid, points=[p for p in gx.breakpoints if p < mid], limit=200,
+            )
+            assert cdf(np.array([mid]))[0] == pytest.approx(part, abs=1e-8)
 
 
 def test_fading_gx_support_trend_with_threshold():
@@ -121,7 +123,7 @@ def test_fading_power_integral_consistency():
 
 
 def test_fading_mse_gamma_zero_is_one():
-    assert asymptotic_mse(fading_gx(db_to_linear(5.0)), 1.0, 2, 0.4, 0.0, lambda b, g: 0.5) == 1.0
+    assert asymptotic_mse(fading_distribution(5.0), 0.4, 0.0, lambda b, g: 0.5) == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +139,11 @@ def small_eta_table():
 def test_fading_degrades_mse_and_worsens_with_beta(small_eta_table):
     # losses cost reconstruction quality at equal delivered-sample count,
     # and the penalty grows with the aspect ratio at high SNR
-    gx = fading_gx(db_to_linear(5.0))
+    dist = fading_distribution(5.0)
     gaps = {}
     for beta in (0.2, 0.8):
         for gamma in (1.0, 100.0):
-            fx = asymptotic_mse(gx, 1.0, 2, beta, gamma, small_eta_table)
+            fx = asymptotic_mse(dist, beta, gamma, small_eta_table)
             fu = small_eta_table.eta(beta, gamma / beta)
             assert fx >= fu - 2e-3
             gaps[beta, gamma] = fx - fu
@@ -180,7 +182,7 @@ def test_hole_sampler_gof():
 
 def test_hole_mse_floor():
     c = 0.5
-    val = asymptotic_mse(hole_distribution(c).gx, c, 1, 0.4, 10.0, lambda b, g: 1.0 / (1.0 + g))
+    val = asymptotic_mse(hole_distribution(c), 0.4, 10.0, lambda b, g: 1.0 / (1.0 + g))
     assert val > 1 - c
     # mixture collapses to 1 - c + c * eta_u(c*beta, gamma/(c*beta))
     assert val == pytest.approx((1 - c) + c / (1.0 + 10.0 / (0.4 * c)))
@@ -231,7 +233,7 @@ def test_csma_lossless_network():
     hier = quadrant_hierarchy([0.0, 0.0, 0.0, 0.0])
     prof = csma_success_profile(hier)
     assert np.allclose(prof.normalized_success, 1.0)
-    assert prof.gx.atoms == (((1.0, 0.25),) * 4)
+    assert prof.distribution.gx.atoms == (((1.0, 0.25),) * 4)
     rng_pts = prof.distribution.sampler(0, 500)
     assert np.all(np.abs(rng_pts) <= 0.5)
 
@@ -258,7 +260,7 @@ def test_csma_normalization_identity():
     prof = csma_success_profile(quadrant_hierarchy([1e-3, 2e-4, 2e-4, 2e-5]))
     areas = np.asarray(prof.hierarchy.areas)
     assert float(np.dot(areas, prof.normalized_success)) == pytest.approx(1.0, rel=1e-12)
-    assert np.dot(areas, [y for y, _ in prof.gx.atoms] * np.ones(4)) > 0
+    assert np.dot(areas, [y for y, _ in prof.distribution.gx.atoms] * np.ones(4)) > 0
 
 
 def test_csma_end_to_end_below_layer_min():

@@ -10,7 +10,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
 from vanspec import spectral
-from vanspec.moments import uniform_moment
 from vanspec.sampling import GxDiscreteAtoms, uniform_distribution
 from vanspec.spectral import (
     ATOM_TOL_REL,
@@ -40,9 +39,11 @@ from helpers import (
     GxEmpirical,
     empirical_density_of_density,
     gram_matrix,
+    gx_distribution,
     multi_indices,
     point_distribution,
     real_twin,
+    uniform_moment,
     vandermonde_entries,
 )
 
@@ -364,19 +365,19 @@ def test_eta_mixture_delta_collapses_to_eta_u():
         calls.append((b, g))
         return 0.37
 
-    assert eta_mixture(gx, 1.0, 1, 0.5, 2.0, eta_u) == pytest.approx(0.37)
+    assert eta_mixture(gx_distribution(gx), 0.5, 2.0, eta_u) == pytest.approx(0.37)
     assert calls == [(0.5, 2.0)]
 
 
 def test_eta_mixture_gamma_zero():
     gx = GxDiscreteAtoms(atoms=((2.0, 0.5),))
-    assert eta_mixture(gx, 0.5, 1, 0.5, 0.0, lambda b, g: 0.0) == 1.0
+    assert eta_mixture(gx_distribution(gx, 0.5), 0.5, 0.0, lambda b, g: 0.0) == 1.0
 
 
 def test_eta_mixture_discrete_sum():
     atoms = tuple((y, 0.25) for y in (0.5, 1.0, 1.5, 2.0))
     gx = GxDiscreteAtoms(atoms=atoms)
-    val = eta_mixture(gx, 1.0, 2, 0.4, 3.0, lambda b, g: 1.0 / (1.0 + g))
+    val = eta_mixture(gx_distribution(gx, d=2), 0.4, 3.0, lambda b, g: 1.0 / (1.0 + g))
     expect = sum(0.25 / (1.0 + 3.0 * y) for y, _ in atoms)
     assert val == pytest.approx(expect)
 
@@ -384,7 +385,7 @@ def test_eta_mixture_discrete_sum():
 def test_eta_mixture_hole_floor():
     c = 0.6
     gx = GxDiscreteAtoms(atoms=((1 / c, c),))
-    val = eta_mixture(gx, c, 1, 0.5, 5.0, lambda b, g: 0.2)
+    val = eta_mixture(gx_distribution(gx, c), 0.5, 5.0, lambda b, g: 0.2)
     assert val == pytest.approx((1 - c) + c * 0.2)
     assert val > 1 - c
 
@@ -463,7 +464,7 @@ def test_eta_table_save_load_roundtrip(tmp_path):
 
 def test_asymptotic_mse_scales_gamma():
     gx = GxDiscreteAtoms(atoms=((1.0, 1.0),))
-    got = asymptotic_mse(gx, 1.0, 1, 0.5, 2.0, lambda b, g: 1.0 / (1.0 + g))
+    got = asymptotic_mse(gx_distribution(gx), 0.5, 2.0, lambda b, g: 1.0 / (1.0 + g))
     assert got == pytest.approx(1.0 / (1.0 + 2.0 / 0.5))
 
 
@@ -628,7 +629,8 @@ def quad_mixture(gx, beta, gamma, eta_u, points=()):
 
 
 def test_mixture_fixed_rule_matches_tight_quad_analytic():
-    gx = fading_gx(db_to_linear(5.0))
+    dist = fading_distribution(5.0)
+    gx = dist.gx
 
     def eta_u(b, g):
         return 1.0 / (1.0 + g) * b / (1.0 + b)
@@ -636,12 +638,13 @@ def test_mixture_fixed_rule_matches_tight_quad_analytic():
     for beta in FIG3_BETAS:
         for gdb in FIG3_GDB:
             gamma = db_to_linear(gdb) / beta
-            got = eta_mixture(gx, 1.0, 2, beta, gamma, eta_u)
+            got = eta_mixture(dist, beta, gamma, eta_u)
             assert got == pytest.approx(quad_mixture(gx, beta, gamma, eta_u), rel=1e-5)
 
 
 def test_mixture_fixed_rule_matches_tight_quad_table():
-    gx = fading_gx(db_to_linear(5.0))
+    dist = fading_distribution(5.0)
+    gx = dist.gx
     lo, hi = gx.support
     table = build_eta_table(2, 8, (0.2 / hi, 0.8 / lo),
                             (db_to_linear(-10) / 0.8 * lo, db_to_linear(30) / 0.2 * hi),
@@ -651,7 +654,7 @@ def test_mixture_fixed_rule_matches_tight_quad_table():
             gamma = db_to_linear(gdb) / beta
             # the table's knots, where its interpolant has a second-derivative jump
             knots = [*(beta / table.beta_grid), *(table.gamma_grid / gamma)]
-            got = eta_mixture(gx, 1.0, 2, beta, gamma, table)
+            got = eta_mixture(dist, beta, gamma, table)
             assert got == pytest.approx(quad_mixture(gx, beta, gamma, table, knots), rel=1e-5)
 
 
@@ -667,20 +670,20 @@ def test_mixture_calls_eta_u_once(gx):
         calls.append(np.shape(b))
         return 1.0 / (1.0 + g)
 
-    assert 0.0 < eta_mixture(gx, 0.75, 2, 0.4, 3.0, eta_u) < 1.0
+    assert 0.0 < eta_mixture(gx_distribution(gx, 0.75, d=2), 0.4, 3.0, eta_u) < 1.0
     assert len(calls) == 1
     assert calls[0] == gx.nodes_weights()[0].shape
 
 
 def test_mixture_accepts_scalar_returning_eta_u():
-    fading = fading_gx(db_to_linear(5.0))
-    assert eta_mixture(fading, 1.0, 2, 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.2, rel=1e-12)
+    fading = fading_distribution(5.0)
+    assert eta_mixture(fading, 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.2, rel=1e-12)
     hist = GxEmpirical(edges=np.array([0.5, 1.0, 1.5, 2.0]), masses=np.array([0.4, 0.0, 0.6]))
-    assert eta_mixture(hist, 0.5, 2, 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.6)
+    assert eta_mixture(gx_distribution(hist, 0.5, d=2), 0.4, 3.0, lambda b, g: 0.2) == pytest.approx(0.6)
     assert hist.nodes_weights()[0].tolist() == [0.75, 1.75]
 
 
 def test_discrete_atoms_reject_nonpositive_y():
     gx = GxDiscreteAtoms(atoms=((0.0, 0.5), (2.0, 0.5)))
     with pytest.raises(ValueError):
-        eta_mixture(gx, 1.0, 2, 0.4, 3.0, lambda b, g: 0.2)
+        eta_mixture(gx_distribution(gx, d=2), 0.4, 3.0, lambda b, g: 0.2)
