@@ -36,16 +36,32 @@ CASES = {
                       "--n", "4", "--table-trials", "3"],
     "moments": ["moments", "--dist", "hole:c=0.8", "--d", "1", "--beta", "0.5",
                 "--max-p", "5", "--n", "64", "--trials", "4"],
+    "partitions": ["partitions", "--p", "5"],
+    "spectrum-hole-d1": ["spectrum", "--dist", "hole:c=0.5", "--n", "32", "--d", "1",
+                         "--beta", "0.5", "--trials", "4", "--bins", "17"],
+    "scenario-holes": ["scenario", "holes", "--c", "0.6", "--beta", "0.4", "--n", "32",
+                       "--trials", "4"],
+    "scenario-dense": ["scenario", "dense", "--a-db", "5", "--n", "4", "--trials", "4"],
+    "reproduce-fig2": ["reproduce", "fig2"],
 }
 
 
 def run_case(argv: list[str], src: str = SRC) -> dict:
-    """Run `python -m vanspec.cli` on argv; return its metadata, header and rows."""
+    """Run `python -m vanspec.cli` on argv; return its metadata, header and rows.
+
+    A `reproduce <figure>` case writes into a temporary --out-dir, and its
+    <figure>.csv is read; every other case writes the temporary --out.
+    """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        subprocess.run([sys.executable, "-m", "vanspec.cli", *argv, "--out", out],
+        if "reproduce" in argv:
+            figure = argv[argv.index("reproduce") + 1]
+            out, dest = os.path.join(tmp, f"{figure}.csv"), ["--out-dir", tmp]
+        else:
+            out = os.path.join(tmp, "out.csv")
+            dest = ["--out", out]
+        subprocess.run([sys.executable, "-m", "vanspec.cli", *argv, *dest],
                        env=env, check=True, capture_output=True, text=True, timeout=600)
         with open(out, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
