@@ -52,5 +52,6 @@ from .spectral import (  # noqa: F401
     eta_u_table,
     gram_eigenvalues,
     histogram,
+    mixture_span,
     transform_scaled_lsd,
 )

@@ -46,6 +46,7 @@ from .spectral import (
     compare_scaled_aesd,
     empirical_moment,
     histogram,
+    mixture_span,
     transform_scaled_lsd,
 )
 from .svgplot import Series, line_plot_svg
@@ -315,35 +316,28 @@ def _check_loaded_table(table: EtaUTable, args, d: int,
         raise UsageError(f"--eta-table {path}: {exc}")
 
 
-def mixture_eta_table(args, dist: SamplingDistribution, betas: list[float],
-                      gammas_db: list[float],
-                      include_uniform_baseline: bool = True) -> tuple[EtaUTable, dict]:
-    """Load or build the eta_u table at dist.d and args.n covering the
-    mixture's query range (args.table_trials trials, --eta-table, --seed,
-    --threads).
+def mixture_eta_table(args, dists: list[SamplingDistribution], betas: list[float],
+                      gammas_db: list[float]) -> tuple[EtaUTable, dict]:
+    """Load or build the eta_u table at the dists' d and args.n that covers
+    the mixture_span of the dists over betas and gammas_db
+    (args.table_trials trials, --eta-table, --seed, --threads).
 
     A table loaded from --eta-table must match d, n and trials and cover the
-    range.  Returns the table and the CSV metadata that names it: the sha256
+    spans.  Returns the table and the CSV metadata that names it: the sha256
     of the table file when --eta-table is given, nothing otherwise.
     """
-    ylo, yhi = dist.gx.support
-    gammas = [db_to_linear(g) for g in gammas_db]
-    b_span = [min(betas) / yhi, max(betas) / ylo]
-    g_args = [g / b for g in gammas for b in betas]
-    g_span = [min(g_args) * ylo, max(g_args) * yhi]
-    if include_uniform_baseline:
-        b_span = [min(b_span[0], min(betas)), max(b_span[1], max(betas))]
-        g_span = [min(g_span[0], min(g_args)), max(g_span[1], max(g_args))]
+    d = dists[0].d
+    b_span, g_span = mixture_span(dists, betas, [db_to_linear(g) for g in gammas_db])
     table_path = args.eta_table
     if table_path and os.path.exists(table_path):
         try:
             table = EtaUTable.load(table_path)
         except ValueError as exc:
             raise UsageError(f"--eta-table {table_path}: {exc}")
-        _check_loaded_table(table, args, dist.d, b_span, g_span)
+        _check_loaded_table(table, args, d, b_span, g_span)
     else:
         try:
-            table = build_eta_table(dist.d, args.n, tuple(b_span), tuple(g_span),
+            table = build_eta_table(d, args.n, b_span, g_span,
                                     trials=args.table_trials, seed=args.seed + 7919,
                                     threads=args.threads)
         except EtaTableRangeError as exc:
@@ -379,7 +373,7 @@ def cmd_moments(args) -> int:
     n = args.n if args.n is not None else {1: 256, 2: 16, 3: 6}.get(args.d, 4)
     check_size(n, args.d)
     m = sample_count(n, args.d, args.beta)
-    analytic = moment_table(dist, args.d, args.beta, args.max_p)
+    analytic = moment_table(dist, args.beta, args.max_p)
     summary = aesd(dist, n, m, args.trials, seed=args.seed, threads=args.threads)
     rows = []
     for p in range(1, args.max_p + 1):
@@ -425,12 +419,11 @@ def cmd_mse(args) -> int:
     betas = check_betas(parse_float_list(args.beta))
     ms = [sample_count(args.n, args.d, beta) for beta in betas]
     gammas_db = parse_db_grid(args.gamma_db)
-    eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db,
-                                      include_uniform_baseline=False)
+    eta, eta_meta = mixture_eta_table(args, [dist], betas, gammas_db)
     gammas = [db_to_linear(gdb) for gdb in gammas_db]
     rows = []
     for beta, m in zip(betas, ms):
-        ests = mse_monte_carlo(dist, args.n, args.d, m, gammas,
+        ests = mse_monte_carlo(dist, args.n, m, gammas,
                                trials=args.trials, seed=args.seed, threads=args.threads)
         for gdb, gamma, est in zip(gammas_db, gammas, ests):
             pred = asymptotic_mse(dist, beta, gamma, eta)
@@ -461,13 +454,13 @@ def cmd_scenario_fading(args) -> int:
     dist = from_factory(fading_distribution, args.a_db)
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
-    eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db)
+    curves = (("fu", uniform_distribution(2)), ("fx", dist))
+    eta, eta_meta = mixture_eta_table(args, [c for _, c in curves], betas, gammas_db)
     rows = []
     for beta in betas:
         for gdb in gammas_db:
             gamma = db_to_linear(gdb)
-            rows.append(("fu", beta, gdb, eta.eta(beta, gamma / beta)))
-            rows.append(("fx", beta, gdb, asymptotic_mse(dist, beta, gamma, eta)))
+            rows += [(name, beta, gdb, asymptotic_mse(c, beta, gamma, eta)) for name, c in curves]
     config = {"a_db": args.a_db, "beta": betas, "gamma_db": gammas_db,
               "n": args.n, "table_trials": args.table_trials}
     write_table(args.out, "scenario-fading", config, args.seed,
@@ -487,13 +480,13 @@ def cmd_scenario_csma(args) -> int:
     dist = prof.distribution
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
-    eta, eta_meta = mixture_eta_table(args, dist, betas, gammas_db)
+    curves = (("fu", uniform_distribution(2)), ("fx", dist))
+    eta, eta_meta = mixture_eta_table(args, [c for _, c in curves], betas, gammas_db)
     rows = []
     for gdb in gammas_db:
         gamma = db_to_linear(gdb)
         for beta in betas:
-            rows.append(("fu", gdb, beta, eta.eta(beta, gamma / beta)))
-            rows.append(("fx", gdb, beta, asymptotic_mse(dist, beta, gamma, eta)))
+            rows += [(name, gdb, beta, asymptotic_mse(c, beta, gamma, eta)) for name, c in curves]
     config = {
         "areas": list(hier.areas), "H": hier.H, "m": [list(r) for r in hier.nodes],
         "lambda1": list(hier.lambda1), "beta": betas, "gamma_db": gammas_db, "n": args.n,

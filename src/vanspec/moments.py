@@ -62,9 +62,7 @@ def asymptotic_moment(
     )
 
 
-def moment_table(dist: SamplingDistribution, d: int, beta: float, P: int) -> tuple[float, ...]:
-    """Moments (M_1, ..., M_P) for a sampling distribution; it needs a g_x."""
-    if d != dist.d:
-        raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
+def moment_table(dist: SamplingDistribution, beta: float, P: int) -> tuple[float, ...]:
+    """Moments (M_1, ..., M_P) at dist.d for a sampling distribution; it needs a g_x."""
     I = density_power_integrals(dist, P)
-    return tuple(asymptotic_moment(p, d, beta, I) for p in range(1, P + 1))
+    return tuple(asymptotic_moment(p, dist.d, beta, I) for p in range(1, P + 1))

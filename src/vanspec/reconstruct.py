@@ -107,7 +107,6 @@ class MseEstimate:
 def mse_monte_carlo(
     dist: SamplingDistribution,
     n: int,
-    d: int,
     m: int,
     gammas: Sequence[float],
     trials: int,
@@ -132,14 +131,12 @@ def mse_monte_carlo(
         raise ValueError("gammas must not be empty")
     if not all(0 < g < np.inf and 1.0 / g < np.inf for g in gammas):
         raise ValueError(f"every gamma and 1/gamma must be positive and finite, got {gammas}")
-    if d != dist.d:
-        raise ValueError(f"dimension mismatch: requested d={d}, distribution has d={dist.d}")
     sigma_n2s = [1.0 / gamma for gamma in gammas]
 
     def one(t: int) -> list[tuple[float, float]]:
         s_pts, s_field, s_noise = trial_seed(seed, t).spawn(3)
         V = build_vandermonde(dist, n, m, s_pts)
-        a = generate_spectrum(n, d, s_field)
+        a = generate_spectrum(n, dist.d, s_field)
         s, z = observe(V, a, s_noise)
         out = []
         for sigma_n2 in sigma_n2s:

@@ -281,20 +281,15 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
     )
 
 
-def quadrant_hierarchy(
-    lambda1: Sequence[float],
-    nodes_per_layer: Sequence[int] = (10, 6, 4),
-    collision_model: CollisionModel = default_collision_model,
-) -> ClusterHierarchy:
-    """Four equal areas, three layers; cluster sizes shared across areas."""
+def quadrant_hierarchy(lambda1: Sequence[float]) -> ClusterHierarchy:
+    """Four equal areas, each with three layers of clusters of 10, 6 and 4
+    nodes, and the default collision model."""
     if len(lambda1) != 4:
         raise ValueError("quadrant hierarchy needs 4 layer-1 loads")
-    nodes = tuple(tuple(int(v) for v in nodes_per_layer) for _ in range(4))
     return ClusterHierarchy(
         areas=(0.25, 0.25, 0.25, 0.25),
-        H=len(nodes_per_layer),
-        nodes=nodes,
+        H=3,
+        nodes=((10, 6, 4),) * 4,
         lambda1=tuple(float(v) for v in lambda1),
-        collision_model=collision_model,
     )
 

@@ -630,6 +630,18 @@ def eta_mixture(
     return 1.0 - A + A * float(np.sum(w * eta_u(beta / y, gamma * y)))
 
 
+def mixture_span(dists: Sequence[SamplingDistribution], betas: Sequence[float],
+                 gammas: Sequence[float]) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The (beta, gamma) spans of every eta_u query that asymptotic_mse makes
+    for each dist in dists, beta in betas and gamma in gammas: the mixture at
+    gamma/beta reads eta_u(beta/y, y*gamma/beta) at g_x nodes y, which lie in
+    the union of the dists' g_x supports.  No padding is added."""
+    y_lo = min(dist.gx.support[0] for dist in dists)
+    y_hi = max(dist.gx.support[1] for dist in dists)
+    ratios = [g / b for g in gammas for b in betas]
+    return (min(betas) / y_hi, max(betas) / y_lo), (min(ratios) * y_lo, max(ratios) * y_hi)
+
+
 def asymptotic_mse(
     dist: SamplingDistribution,
     beta: float,

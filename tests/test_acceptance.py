@@ -42,6 +42,7 @@ from vanspec.spectral import (
     empirical_moment,
     gram_eigenvalues,
     histogram,
+    mixture_span,
     transform_scaled_lsd,
 )
 
@@ -61,15 +62,11 @@ def report(cid: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def fading_table():
-    gx = fading_gx(db_to_linear(5.0))
-    ylo, yhi = gx.support
-    betas, gammas = (0.2, 0.8), (0.1, 1000.0)
-    return build_eta_table(
-        2, 10,
-        (betas[0] / yhi, betas[1] / ylo),
-        (gammas[0] / betas[1] * ylo, gammas[1] / betas[0] * yhi),
-        beta_nodes=24, gamma_nodes=48, trials=80, seed=SEED + 101,
-    )
+    # the fx and the lossless fu curves, at beta in [0.2, 0.8], gamma in [0.1, 1000]
+    spans = mixture_span([uniform_distribution(2), fading_distribution(5.0)],
+                         (0.2, 0.8), (0.1, 1000.0))
+    return build_eta_table(2, 10, *spans, beta_nodes=24, gamma_nodes=48, trials=80,
+                           seed=SEED + 101)
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +81,10 @@ def csma_profiles():
 def csma_tables(csma_profiles):
     out = {}
     for key, prof in csma_profiles.items():
-        ys = [y for y, _ in prof.distribution.gx.atoms]
-        betas, gammas = (0.2, 0.8), (1.0, 100.0)
-        out[key] = build_eta_table(
-            2, 10,
-            (min(betas[0] / max(ys), betas[0]), max(betas[1] / min(ys), betas[1])),
-            (gammas[0] / betas[1] * min(ys), gammas[1] / betas[0] * max(ys)),
-            beta_nodes=24, gamma_nodes=48, trials=80, seed=SEED + 102,
-        )
+        spans = mixture_span([uniform_distribution(2), prof.distribution],
+                             (0.2, 0.8), (1.0, 100.0))
+        out[key] = build_eta_table(2, 10, *spans, beta_nodes=24, gamma_nodes=48, trials=80,
+                                   seed=SEED + 102)
     return out
 
 
@@ -335,8 +328,8 @@ def _cross_validation_grid(fading_table, csma_profiles, csma_tables):
     rows = []
     for beta in (0.2, 0.4, 0.6, 0.8):
         m = int(round(100 / beta))
-        fading = mse_monte_carlo(dist, 10, 2, m, gammas, trials=100, seed=SEED + 8)
-        csma = mse_monte_carlo(prof.distribution, 10, 2, m, gammas, trials=100, seed=SEED + 9)
+        fading = mse_monte_carlo(dist, 10, m, gammas, trials=100, seed=SEED + 8)
+        csma = mse_monte_carlo(prof.distribution, 10, m, gammas, trials=100, seed=SEED + 9)
         for gdb, gamma, f_est, c_est in zip(gdbs, gammas, fading, csma):
             pred = asymptotic_mse(dist, beta, gamma, fading_table)
             rows.append(("fading", beta, gdb, pred, f_est.mean_trace_mse))

@@ -65,7 +65,7 @@ def test_integrals_need_gx():
     with pytest.raises(ValueError, match="fading-bare"):
         density_power_integrals(bare, 2)
     with pytest.raises(ValueError, match="fading-bare"):
-        moment_table(bare, 2, 1.0, 2)
+        moment_table(bare, 1.0, 2)
 
 
 def test_integrals_scaled_uniform():
@@ -101,11 +101,11 @@ def test_moment_examples():
 
 
 def test_moment_table_examples():
-    t = moment_table(uniform_distribution(1), 1, 0.5, 3)
+    t = moment_table(uniform_distribution(1), 0.5, 3)
     assert t == pytest.approx((1.0, 1.5, 2.75))
-    t2 = moment_table(uniform_distribution(2), 2, 1.0, 4)
+    t2 = moment_table(uniform_distribution(2), 1.0, 4)
     assert t2[3] == pytest.approx(14 + 4 / 9)
-    t3 = moment_table(hole_distribution(0.5, d=1), 1, 1.0, 2)
+    t3 = moment_table(hole_distribution(0.5, d=1), 1.0, 2)
     assert t3[1] == pytest.approx(3.0)
 
 
@@ -119,8 +119,6 @@ def test_moment_rejects_bad_args():
         asymptotic_moment(0, 1, 1.0, [1.0])
     with pytest.raises(ValueError):
         asymptotic_moment(2, 1, -0.5, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        moment_table(uniform_distribution(2), 1, 1.0, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -177,13 +177,13 @@ def counting(dist):
 
 
 def test_mse_monte_carlo_estimators_agree():
-    [est] = mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gammas=[5.0], trials=60, seed=31)
+    [est] = mse_monte_carlo(uniform_distribution(1), 16, 20, gammas=[5.0], trials=60, seed=31)
     spread = 3 * (est.stderr_trace_mse + est.stderr_normalized_error)
     assert abs(est.mean_trace_mse - est.mean_normalized_error) <= max(spread, 0.02)
 
 
 def test_mse_monte_carlo_decreasing_in_gamma():
-    ests = mse_monte_carlo(uniform_distribution(1), 16, 1, 20, gammas=[0.5, 2.0, 8.0, 32.0],
+    ests = mse_monte_carlo(uniform_distribution(1), 16, 20, gammas=[0.5, 2.0, 8.0, 32.0],
                            trials=20, seed=5)
     vals = [est.mean_trace_mse for est in ests]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -191,18 +191,17 @@ def test_mse_monte_carlo_decreasing_in_gamma():
 
 def test_mse_monte_carlo_sweep_equals_each_gamma_alone():
     # one V, field and noise seed per trial serve every gamma, bit for bit
-    for dist, d, n, m in ((uniform_distribution(1), 1, 8, 12),
-                          (hole_distribution(0.5, d=2), 2, 3, 7)):
+    for dist, n, m in ((uniform_distribution(1), 8, 12), (hole_distribution(0.5, d=2), 3, 7)):
         gammas = [0.3, 4.0, 250.0]
-        sweep = mse_monte_carlo(dist, n, d, m, gammas, trials=5, seed=11, threads=1)
+        sweep = mse_monte_carlo(dist, n, m, gammas, trials=5, seed=11, threads=1)
         assert len(sweep) == len(gammas)
         for gamma, est in zip(gammas, sweep):
-            assert est == mse_monte_carlo(dist, n, d, m, [gamma], trials=5, seed=11, threads=1)[0]
+            assert est == mse_monte_carlo(dist, n, m, [gamma], trials=5, seed=11, threads=1)[0]
 
 
 def test_mse_monte_carlo_draws_each_trial_once():
     dist, drawn = counting(uniform_distribution(1))
-    mse_monte_carlo(dist, 8, 1, 10, gammas=[0.5, 2.0, 8.0, 32.0], trials=3, seed=3, threads=1)
+    mse_monte_carlo(dist, 8, 10, gammas=[0.5, 2.0, 8.0, 32.0], trials=3, seed=3, threads=1)
     assert drawn == [10, 10, 10]
 
 
@@ -218,22 +217,22 @@ def test_mse_monte_carlo_observes_each_trial_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(reconstruct, name, counted(name, getattr(reconstruct, name)))
-    mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gammas=[0.5, 2.0, 8.0, 32.0],
+    mse_monte_carlo(uniform_distribution(1), 8, 10, gammas=[0.5, 2.0, 8.0, 32.0],
                     trials=3, seed=3, threads=1)
     assert calls == {"observe": 3, "lmmse": 12}
 
 
 def test_mse_monte_carlo_thread_invariance():
     gammas = [0.5, 2.0, 40.0]
-    a = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gammas, trials=6, seed=3, threads=1)
-    b = mse_monte_carlo(uniform_distribution(1), 8, 1, 10, gammas, trials=6, seed=3, threads=3)
+    a = mse_monte_carlo(uniform_distribution(1), 8, 10, gammas, trials=6, seed=3, threads=1)
+    b = mse_monte_carlo(uniform_distribution(1), 8, 10, gammas, trials=6, seed=3, threads=3)
     assert a == b
 
 
 def test_mse_monte_carlo_rejects_negative_threads_before_any_trial():
     dist, drawn = counting(uniform_distribution(1))
     with pytest.raises(ValueError, match="threads must be >= 0"):
-        mse_monte_carlo(dist, 8, 1, 10, gammas=[2.0], trials=3, seed=3, threads=-1)
+        mse_monte_carlo(dist, 8, 10, gammas=[2.0], trials=3, seed=3, threads=-1)
     assert not drawn
 
 
@@ -244,5 +243,5 @@ def test_mse_monte_carlo_rejects_bad_gamma():
                    [2.0, 1e-320]):
         dist, drawn = counting(uniform_distribution(1))
         with pytest.raises(ValueError, match="gamma"):
-            mse_monte_carlo(dist, 8, 1, 10, gammas, trials=2, seed=0)
+            mse_monte_carlo(dist, 8, 10, gammas, trials=2, seed=0)
         assert not drawn, gammas

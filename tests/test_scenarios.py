@@ -14,7 +14,8 @@ from vanspec.scenarios import (
     hole_distribution,
     quadrant_hierarchy,
 )
-from vanspec.spectral import asymptotic_mse
+from vanspec.sampling import uniform_distribution
+from vanspec.spectral import asymptotic_mse, build_eta_table, mixture_span
 
 from helpers import empirical_density_of_density, fading_gx_cdf, sampler_chi2_pvalue
 
@@ -128,12 +129,9 @@ def test_fading_mse_gamma_zero_is_one():
 
 @pytest.fixture(scope="module")
 def small_eta_table():
-    from vanspec.spectral import build_eta_table
-
-    gx = fading_gx(db_to_linear(5.0))
-    lo, hi = gx.support
-    return build_eta_table(2, 8, (0.2 / hi, 0.8 / lo), (1.0 / 0.8 * lo, 100.0 / 0.2 * hi),
-                           beta_nodes=16, gamma_nodes=24, trials=30, seed=77)
+    spans = mixture_span([uniform_distribution(2), fading_distribution(5.0)],
+                         (0.2, 0.8), (1.0, 100.0))
+    return build_eta_table(2, 8, *spans, beta_nodes=16, gamma_nodes=24, trials=30, seed=77)
 
 
 def test_fading_degrades_mse_and_worsens_with_beta(small_eta_table):

@@ -30,6 +30,7 @@ from vanspec.spectral import (
     gram_eigenvalues,
     gram_twin,
     histogram,
+    mixture_span,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
@@ -645,10 +646,8 @@ def test_mixture_fixed_rule_matches_tight_quad_analytic():
 def test_mixture_fixed_rule_matches_tight_quad_table():
     dist = fading_distribution(5.0)
     gx = dist.gx
-    lo, hi = gx.support
-    table = build_eta_table(2, 8, (0.2 / hi, 0.8 / lo),
-                            (db_to_linear(-10) / 0.8 * lo, db_to_linear(30) / 0.2 * hi),
-                            beta_nodes=10, gamma_nodes=16, trials=4, seed=5)
+    spans = mixture_span([dist], (0.2, 0.8), (db_to_linear(-10), db_to_linear(30)))
+    table = build_eta_table(2, 8, *spans, beta_nodes=10, gamma_nodes=16, trials=4, seed=5)
     for beta in (0.2, 0.8):
         for gdb in (-10, 10, 30):
             gamma = db_to_linear(gdb) / beta
