@@ -97,6 +97,17 @@ def test_mse_command(tmp_path):
     assert by_g[10.0] < by_g[0.0]
 
 
+def test_scenario_fading_mse_is_at_most_one(tmp_path):
+    # at -160 dB eta_u reads 1 at every node, so a mixture over probability
+    # weights reads at most 1; raw rule weights summing above 1 wrote 1.000000000000003
+    out = tmp_path / "f.csv"
+    assert main(["scenario", "fading", "--a-db", "5", "--gamma-db=-160", "--beta", "0.4",
+                 "--n", "4", "--out", str(out)]) == 0
+    _, _, rows = read_rows(str(out))
+    assert [r[0] for r in rows] == ["fu", "fx"]
+    assert all(float(r[3]) <= 1.0 for r in rows), rows
+
+
 def test_scenario_csma_with_config_file(tmp_path):
     cfg = tmp_path / "hier.json"
     cfg.write_text(json.dumps({

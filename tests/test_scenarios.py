@@ -76,6 +76,13 @@ def test_fading_gx_normalizes_and_cdf_consistent():
             assert cdf(np.array([mid]))[0] == pytest.approx(part, abs=1e-8)
 
 
+def test_fading_gx_weights_are_probabilities():
+    # the raw rule misses 1 by rounding and quadrature error (1 - 2.6e-14 at 15 dB)
+    for a_db in (0.0, 5.0, 10.0, 15.0):
+        _, w = fading_gx(db_to_linear(a_db)).nodes_weights()
+        assert abs(w.sum() - 1.0) <= 1e-15, a_db
+
+
 def test_fading_gx_support_trend_with_threshold():
     # low threshold concentrates mass near the top of the density range;
     # high threshold pushes support toward zero
