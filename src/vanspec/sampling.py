@@ -43,8 +43,7 @@ class GxClosedForm:
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Cosine-mapped Gauss-Legendre nodes on each piece between the support
         ends and the breakpoints, with weights that include the density,
-        normalized to probabilities: the rule's own sum of g_x is off 1 by
-        rounding and quadrature error (-2.6e-14 at a = 15 dB)."""
+        normalized to sum to 1 so that a mixture of eta_u <= 1 reads <= 1."""
         knots = np.array([self.support[0], *self.breakpoints, self.support[1]])
         u, du = _cosine_rule(NODES_PER_PIECE)
         width = np.diff(knots)[:, None]

@@ -13,7 +13,7 @@ import textwrap
 import pytest
 
 import vanspec
-from vanspec import cli
+from vanspec import cli, scenarios
 from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid, parse_float_list
 from vanspec.spectral import EtaUTable
 
@@ -568,17 +568,39 @@ def test_readme_library_tour_runs():
     assert res.returncode == 0, res.stderr
 
 
+# one valid call of each factory that the benchmark tracer wraps
+TRACED_FACTORY_ARGS = {
+    "uniform_distribution": (2,),
+    "hole_distribution": (0.5,),
+    "fading_distribution": (5.0,),
+    "fading_gx": (3.0,),
+    "csma_success_profile": (scenarios.quadrant_hierarchy([1e-3, 2e-4, 2e-4, 2e-5]),),
+}
+
+
 def test_benchmark_tracer_finds_every_traced_name():
-    # the benchmark patches these functions by name; install raises if one is gone
+    # the benchmark patches these functions by name; install raises if one is
+    # gone, and a factory whose product it cannot re-build with traced
+    # callables raises TypeError only in a traced run
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     before = cli.write_table
-    patches = tracing.install(tracing.Recorder())
+    factories = [(importlib.import_module(mod), name)
+                 for mod, name in tracing.DISTRIBUTION_FACTORIES]
+    originals = [getattr(mod, name) for mod, name in factories]
+    rec = tracing.Recorder()
+    patches = tracing.install(rec)
     try:
         assert len(patches) >= len(tracing.FUNCTIONS) + len(tracing.DISTRIBUTION_FACTORIES)
         assert cli.write_table is not before
+        for mod, name in factories:
+            getattr(mod, name)(*TRACED_FACTORY_ARGS[name])
     finally:
         tracing.restore(patches)
     assert cli.write_table is before
+    assert [getattr(mod, name) for mod, name in factories] == originals
+    # fading_distribution builds its g_x through the traced fading_gx: one span more
+    profiles = [s for s in rec.spans if s[0] == "scenarios.profile"]
+    assert len(profiles) == len(factories) + 1

@@ -34,7 +34,14 @@ from vanspec.spectral import (
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
-from vanspec.scenarios import db_to_linear, fading_distribution, fading_gx, hole_distribution
+from vanspec.scenarios import (
+    csma_success_profile,
+    db_to_linear,
+    fading_distribution,
+    fading_gx,
+    hole_distribution,
+    quadrant_hierarchy,
+)
 
 from helpers import (
     GxEmpirical,
@@ -686,3 +693,51 @@ def test_discrete_atoms_reject_nonpositive_y():
     gx = GxDiscreteAtoms(atoms=((0.0, 0.5), (2.0, 0.5)))
     with pytest.raises(ValueError):
         eta_mixture(gx_distribution(gx, d=2), 0.4, 3.0, lambda b, g: 0.2)
+
+
+# ---------------------------------------------------------------------------
+# mixture_span
+
+
+@st.composite
+def mixture_requests(draw):
+    """d = 2 distributions (uniform, fading at 0..12 dB, quadrant CSMA at
+    random loads), aspect ratios with beta/y <= 8 at every g_x node, so that
+    an n = 3 table (n^d = 9) realizes every beta, and positive SNRs."""
+    kinds = st.one_of(
+        st.just(uniform_distribution(2)),
+        st.floats(0.0, 12.0).map(fading_distribution),
+        st.lists(st.floats(0.0, 5e-3), min_size=4, max_size=4).map(
+            lambda loads: csma_success_profile(quadrant_hierarchy(loads)).distribution),
+    )
+    dists = draw(st.lists(kinds, min_size=1, max_size=3))
+    y_lo = min(dist.gx.support[0] for dist in dists)
+    betas = [8 * y_lo * u for u in draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))]
+    gammas = draw(st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=4))
+    return dists, betas, gammas
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixture_requests())
+def test_mixture_span_covers_every_query(request):
+    dists, betas, gammas = request
+    (b_lo, b_hi), (g_lo, g_hi) = spans = mixture_span(dists, betas, gammas)
+    queries = []
+
+    def eta_u(b, g):
+        queries.append((b, g))
+        return np.ones(np.shape(b))
+
+    for dist in dists:
+        for beta in betas:
+            for gamma in gammas:
+                asymptotic_mse(dist, beta, gamma, eta_u)
+    b, g = (np.concatenate(q) for q in zip(*queries))
+    assert b_lo <= b.min() and b.max() <= b_hi
+    assert g_lo <= g.min() and g.max() <= g_hi
+    # a tiny table built on the spans answers every query without a range error
+    table = build_eta_table(2, 3, *spans, beta_nodes=3, gamma_nodes=3, trials=1, seed=0)
+    for dist in dists:
+        for beta in betas:
+            for gamma in gammas:
+                assert 0.0 < asymptotic_mse(dist, beta, gamma, table) <= 1.0 + 1e-12
