@@ -53,9 +53,15 @@ def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
 
 
-def _powers(k, x: np.ndarray) -> np.ndarray:
-    """exp(-2*pi*i k x): one row per power k, one column per coordinate x."""
-    return np.exp(-2j * np.pi * np.multiply.outer(k, x))
+def _powers(rows: int, step: int, x: np.ndarray) -> np.ndarray:
+    """exp(-2*pi*i k step x) for k in [0, rows): one row per power, one column
+    per coordinate x.  Row k is the running product of k factors z =
+    exp(-2*pi*i step x), so the table costs one exp per coordinate."""
+    out = np.empty((rows, x.size), dtype=complex)
+    out[0] = 1.0
+    if rows > 1:
+        out[1:] = np.exp(-2j * np.pi * (step * x))
+    return np.multiply.accumulate(out, axis=0, out=out)
 
 
 def _khatri_rao(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -93,17 +99,23 @@ class DFoldVandermonde:
         a < d, axis d slowest and axis 1 fastest.  The power j_d = k*b + r
         splits into a coarse z^(k b) and a fine z^r, with b = ceil(sqrt(n))
         for d = 1 and b = 1 otherwise; the fine table is the Khatri-Rao
-        product of z^r with the other axes' tables.  Every power is one exp
-        of its own phase, so no error accumulates along a recurrence.  The
-        positions past the box (k*b + r >= n) are padding.
+        product of z^r with the other axes' tables.  The positions past the
+        box (k*b + r >= n) are padding.
+
+        Each per-axis table is a running product (_powers), one exp per
+        point.  The error of power k grows like k eps, as it does for one
+        exp of the phase k x, which rounds in proportion to k: at n = 512
+        the powers up to 506 are within 3.4e-13 of an exact-phase reference
+        (2.6e-13 with one exp per power), and the Gram sums c(j) at m = 1024
+        within 3.9e-15 (5.2e-15).
         """
         n, x = self.n, self.points.T
         b = math.isqrt(n - 1) + 1 if self.d == 1 else 1
-        fine = [_powers(np.arange(b), x[-1])]
+        fine = [_powers(b, 1, x[-1])]
         for xa in reversed(x[:-1]):
-            t = _powers(np.arange(n), xa)
+            t = _powers(n, 1, xa)
             fine.append(np.concatenate([t[:0:-1].conj(), t]))
-        return _powers(np.arange(0, n, b), x[-1]), _khatri_rao(fine)
+        return _powers(-(-n // b), b, x[-1]), _khatri_rao(fine)
 
     @functools.cached_property
     def lmmse_twin(self) -> np.ndarray:
@@ -282,12 +294,17 @@ def aesd(
     return summarize_eigenvalues(per_trial, n, dist.d, m)
 
 
-def empirical_eta(summary: SpectrumSummary, gamma: float) -> float:
-    """eta(gamma) = E[1/(gamma*lambda + 1)] over the summarized spectrum."""
-    if gamma < 0:
+def empirical_eta(summary: SpectrumSummary, gamma: float | np.ndarray) -> float | np.ndarray:
+    """eta(gamma) = E[1/(gamma*lambda + 1)] over the summarized spectrum: a
+    float for a scalar gamma, an array of the same shape for an array."""
+    g = np.asarray(gamma, dtype=float)
+    if np.any(g < 0):
         raise ValueError("gamma must be >= 0")
-    core = float(np.mean(1.0 / (gamma * summary.eigenvalues + 1.0)))
-    return summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * core
+    core = np.multiply.outer(g, summary.eigenvalues)  # the one temporary
+    core += 1.0
+    core = np.divide(1.0, core, out=core).mean(axis=-1)
+    eta = summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * core
+    return float(eta) if g.ndim == 0 else eta
 
 
 def empirical_moment(summary: SpectrumSummary, p: int) -> float:
@@ -546,12 +563,12 @@ def eta_u_table(
     if beta_grid[0] <= 0 or gamma_grid[0] <= 0:
         raise ValueError("grids must be positive (gamma=0 is handled exactly)")
     uni = uniform_distribution(d)
-    ms = np.unique([_nearest_m(n ** d, b) for b in beta_grid])[::-1]
+    ms = sorted({_nearest_m(n ** d, b) for b in beta_grid}, reverse=True)
     achieved = np.array([n ** d / m for m in ms])
     values = np.empty((len(ms), len(gamma_grid)))
     for i, m in enumerate(ms):
-        summary = aesd(uni, n, int(m), trials, seed=seed + i, threads=threads)
-        values[i] = [empirical_eta(summary, g) for g in gamma_grid]
+        summary = aesd(uni, n, m, trials, seed=seed + i, threads=threads)
+        values[i] = empirical_eta(summary, gamma_grid)
     return EtaUTable(
         d=d,
         n=n,

@@ -191,6 +191,16 @@ def gram_matrix(V: DFoldVandermonde) -> np.ndarray:
     return np.ascontiguousarray(_gram_view(V).reshape(V.n ** V.d, V.n ** V.d))
 
 
+def exact_phase_powers(j, x) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-2*pi*i j x) as long-double (real, imag), one row per integer
+    power j and one column per coordinate x.  For |j| < 2^11, j x is exact
+    in a 64-bit significand and so is its reduction mod 1, so only 2*pi and
+    cos/sin round, each within a few 2^-64."""
+    t = np.multiply.outer(np.asarray(j, dtype=np.longdouble), np.asarray(x, dtype=np.longdouble))
+    phase = 8 * np.arctan(np.longdouble(1)) * (t - np.round(t))
+    return np.cos(phase), -np.sin(phase)
+
+
 def synthesize_field(a: np.ndarray, n: int, d: int, x) -> complex | np.ndarray:
     """Field value n^(-d/2) sum_l a_nu(l) exp(+2*pi*i l.x) at point(s) x."""
     x = np.asarray(x, dtype=float)

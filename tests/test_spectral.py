@@ -46,6 +46,7 @@ from vanspec.scenarios import (
 from helpers import (
     GxEmpirical,
     empirical_density_of_density,
+    exact_phase_powers,
     gram_matrix,
     gx_distribution,
     multi_indices,
@@ -100,6 +101,66 @@ def test_build_deterministic_and_beta():
 def test_build_rejects_oversize():
     with pytest.raises(ValueError):
         build_vandermonde(uniform_distribution(2), 40, 10, seed=0)
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double"
+)
+
+
+def table_error(table: np.ndarray, j, x) -> np.ndarray:
+    """|table - exp(-2*pi*i j x)| against the long-double reference."""
+    re, im = exact_phase_powers(j, x)
+    return np.hypot(table.real.astype(np.longdouble) - re, table.imag.astype(np.longdouble) - im)
+
+
+def running_product_bound(k, step: int, x: np.ndarray) -> np.ndarray:
+    """First-order error bound on row k of _powers(., step, x), the product of
+    k factors z~ = fl(exp(-2*pi*i fl(2*pi) fl(step x))).  The phase takes
+    three roundings, so |z~ - z| <= 3u |2*pi step x| + sqrt(2) u (cos and sin
+    within an ulp), and z~^k inherits k times that.  Each of the k - 1
+    products adds sqrt(5) u (Brent, Percival & Zimmermann, Math. Comp. 76,
+    2007).  The 1.01 covers the second-order terms."""
+    k = np.asarray(k, dtype=float)[:, None]
+    phase = 2 * np.pi * step * np.abs(x)[None, :]
+    first = k * (3 * U * phase + np.sqrt(2) * U) + np.maximum(k - 1, 0) * np.sqrt(5) * U
+    return 1.01 * first
+
+
+@needs_long_double
+def test_power_tables_within_the_running_product_bound():
+    # d = 1 at n = 512: coarse rows are powers k b of z (b = 23, k b up to
+    # 506), fine rows powers 0..22; d = 2 at n = 10: coarse rows are axis 2's
+    # powers 0..9, fine rows axis 1's -9..9 (the negative half conjugated)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[-0.5, 0.5 - 2 ** -53, 0.0, 0.25], rng.random(60) - 0.5])
+    V = DFoldVandermonde(n=512, d=1, m=x.size, points=x[:, None])
+    coarse, fine = V.power_tables
+    k = np.arange(coarse.shape[0])
+    assert coarse.shape == (23, x.size) and fine.shape == (23, x.size)
+    assert np.all(table_error(coarse, 23 * k, x) <= running_product_bound(k, 23, x))
+    assert np.all(table_error(fine, k, x) <= running_product_bound(k, 1, x))
+
+    pts = np.stack([x, rng.permutation(x)], axis=1)
+    V = DFoldVandermonde(n=10, d=2, m=x.size, points=pts)
+    coarse, fine = V.power_tables
+    k, j = np.arange(10), np.arange(-9, 10)
+    assert coarse.shape == (10, x.size) and fine.shape == (19, x.size)
+    assert np.all(table_error(coarse, k, pts[:, 1]) <= running_product_bound(k, 1, pts[:, 1]))
+    assert np.all(table_error(fine, j, pts[:, 0]) <= running_product_bound(np.abs(j), 1, pts[:, 0]))
+
+
+@needs_long_double
+def test_gram_matches_long_double_reference():
+    # every c(j) of the (512, 1024) Gram within 1e-14 of its long-double sum
+    n, m = 512, 1024
+    V = build_vandermonde(uniform_distribution(1), n, m, seed=5)
+    re, im = exact_phase_powers(np.arange(n), V.points[:, 0])
+    c = re.mean(axis=1) + 1j * im.mean(axis=1)  # j >= 0; c(-j) = conj c(j)
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    ref = np.where(lag >= 0, c[np.abs(lag)], c[np.abs(lag)].conj())
+    assert np.abs(gram_matrix(V) - ref).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +360,18 @@ def test_empirical_eta_strictly_decreasing_and_convex():
     assert np.all(np.diff(vals, 2) > -1e-12)  # convex in gamma
     with pytest.raises(ValueError):
         empirical_eta(s, -1.0)
+
+
+def test_empirical_eta_array_is_the_scalar_calls():
+    # bitwise, with and without extra zero mass; a negative entry is refused
+    base = aesd(uniform_distribution(1), 16, 20, trials=3, seed=1)
+    gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 40)])
+    for s in (base, transform_scaled_lsd(base, 0.8, 1.0)):
+        eta = empirical_eta(s, gammas)
+        assert eta.shape == gammas.shape
+        assert np.array_equal(eta, [empirical_eta(s, float(g)) for g in gammas])
+    with pytest.raises(ValueError):
+        empirical_eta(base, np.array([1.0, -1e-300]))
 
 
 def test_empirical_eta_regression_baseline():
