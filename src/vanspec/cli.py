@@ -301,30 +301,15 @@ def write_svg(path: Optional[str], rows, by: Sequence[int], x: int, y: int, labe
 # eta-table plumbing
 
 
-def _check_loaded_table(table: EtaUTable, args, d: int,
-                        b_span: Sequence[float], g_span: Sequence[float]) -> None:
-    path = args.eta_table
-    for name, have, want in (("d", table.d, d), ("n", table.n, args.n),
-                             ("trials", table.trials, args.table_trials)):
-        if have != want:
-            raise UsageError(
-                f"--eta-table {path}: table has {name}={have}, request needs {name}={want}"
-            )
-    try:
-        table.check_covers(b_span, g_span)
-    except EtaTableRangeError as exc:
-        raise UsageError(f"--eta-table {path}: {exc}")
-
-
 def mixture_eta_table(args, dists: list[SamplingDistribution], betas: list[float],
                       gammas_db: list[float]) -> tuple[EtaUTable, dict]:
     """Load or build the eta_u table at the dists' d and args.n that covers
     the mixture_span of the dists over betas and gammas_db
     (args.table_trials trials, --eta-table, --seed, --threads).
 
-    A table loaded from --eta-table must match d, n and trials and cover the
-    spans.  Returns the table and the CSV metadata that names it: the sha256
-    of the table file when --eta-table is given, nothing otherwise.
+    A table loaded from --eta-table must pass EtaUTable.check_request.
+    Returns the table and the CSV metadata that names it: the sha256 of the
+    table file when --eta-table is given, nothing otherwise.
     """
     d = dists[0].d
     b_span, g_span = mixture_span(dists, betas, [db_to_linear(g) for g in gammas_db])
@@ -332,9 +317,9 @@ def mixture_eta_table(args, dists: list[SamplingDistribution], betas: list[float
     if table_path and os.path.exists(table_path):
         try:
             table = EtaUTable.load(table_path)
+            table.check_request(d, args.n, args.table_trials, b_span, g_span)
         except ValueError as exc:
             raise UsageError(f"--eta-table {table_path}: {exc}")
-        _check_loaded_table(table, args, d, b_span, g_span)
     else:
         try:
             table = build_eta_table(d, args.n, b_span, g_span,
@@ -626,8 +611,9 @@ def _add_global_opts(parser: argparse.ArgumentParser, suppress: bool = False) ->
     parser.add_argument("--seed", type=int,
                         default=d if suppress else 42, help="master seed (default 42)")
     parser.add_argument("--threads", type=functools.partial(int_at_least, lo=0),
-                        default=d if suppress else 0,
-                        help="trial-level worker threads (0 = all cores); results do not depend on it")
+                        default=d if suppress else 1,
+                        help="trial-level worker threads (default 1; 0 = all cores); "
+                             "results do not depend on it")
     parser.add_argument("--eta-table", default=d if suppress else None, dest="eta_table",
                         help="path of a JSON eta_u table to reuse (built and saved when missing)")
 

@@ -17,12 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sampling import SamplingDistribution
-from .spectral import (
-    DFoldVandermonde,
-    _run_trials,
-    build_vandermonde,
-    trial_seed,
-)
+from .spectral import DFoldVandermonde, _run_trials, build_vandermonde
 
 # Condition-estimate bound above which LMMSE results carry a warning flag.
 COND_TOL = 1e12
@@ -111,7 +106,7 @@ def mse_monte_carlo(
     gammas: Sequence[float],
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
+    threads: Optional[int] = 1,
 ) -> list[MseEstimate]:
     """Average LMMSE error over independent (V, a, noise) draws, one
     estimate per SNR in gammas.
@@ -125,16 +120,14 @@ def mse_monte_carlo(
     target MSE^(n); their agreement is a consistency check.
     """
     gammas = [float(g) for g in gammas]
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not gammas:
         raise ValueError("gammas must not be empty")
     if not all(0 < g < np.inf and 1.0 / g < np.inf for g in gammas):
         raise ValueError(f"every gamma and 1/gamma must be positive and finite, got {gammas}")
     sigma_n2s = [1.0 / gamma for gamma in gammas]
 
-    def one(t: int) -> list[tuple[float, float]]:
-        s_pts, s_field, s_noise = trial_seed(seed, t).spawn(3)
+    def one(trial_seed: np.random.SeedSequence) -> list[tuple[float, float]]:
+        s_pts, s_field, s_noise = trial_seed.spawn(3)
         V = build_vandermonde(dist, n, m, s_pts)
         a = generate_spectrum(n, dist.d, s_field)
         s, z = observe(V, a, s_noise)
@@ -144,7 +137,7 @@ def mse_monte_carlo(
             out.append((res.trace_mse, res.normalized_error))
         return out
 
-    results = np.array(_run_trials(one, trials, threads))  # (trials, gamma, estimator)
+    results = np.array(_run_trials(one, trials, seed, threads))  # (trials, gamma, estimator)
     return [_estimate(results[:, i]) for i in range(len(gammas))]
 
 

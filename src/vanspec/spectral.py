@@ -34,23 +34,24 @@ EIG_TOL_REL = 1e-8
 NDIM_CAP = 1024
 
 
-def _run_trials(worker: Callable[[int], object], trials: int, threads: Optional[int]):
-    """Run worker(0..trials-1), results in trial order regardless of schedule.
-    threads None or 0 means all cores; a negative count is an error."""
+def _run_trials(worker: Callable[[np.random.SeedSequence], object], trials: int, seed: int,
+                threads: Optional[int]):
+    """worker(SeedSequence(entropy=seed, spawn_key=(t,))) for t in [0, trials),
+    results in trial order: each trial's seed depends on t alone, so the
+    results do not depend on the schedule.  threads None or 0 means all
+    cores.  trials < 1 and a negative threads raise before any trial."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(t,)) for t in range(trials)]
     if not threads:
         threads = os.cpu_count() or 1
     threads = min(threads, trials)
     if threads <= 1:
-        return [worker(t) for t in range(trials)]
+        return [worker(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, range(trials)))
-
-
-def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
-    """Deterministic per-trial seed, independent of execution order."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index,))
+        return list(ex.map(worker, seeds))
 
 
 def _powers(rows: int, step: int, x: np.ndarray) -> np.ndarray:
@@ -280,18 +281,13 @@ def aesd(
     m: int,
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
+    threads: Optional[int] = 1,
 ) -> SpectrumSummary:
     """Average empirical spectral distribution of V V^H over seeded trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(t: int) -> np.ndarray:
-        V = build_vandermonde(dist, n, m, trial_seed(seed, t))
-        return gram_eigenvalues(V)
-
-    per_trial = _run_trials(one, trials, threads)
-    return summarize_eigenvalues(per_trial, n, dist.d, m)
+    return summarize_eigenvalues(
+        _run_trials(lambda s: gram_eigenvalues(build_vandermonde(dist, n, m, s)),
+                    trials, seed, threads),
+        n, dist.d, m)
 
 
 def empirical_eta(summary: SpectrumSummary, gamma: float | np.ndarray) -> float | np.ndarray:
@@ -483,9 +479,14 @@ class EtaUTable:
     def __call__(self, beta, gamma):
         return self.eta(beta, gamma)
 
-    def check_covers(self, beta_span: Sequence[float], gamma_span: Sequence[float]) -> None:
-        """Raise EtaTableRangeError unless every query in the [lo, hi] spans
-        is inside the table, by the same range rule as eta."""
+    def check_request(self, d: int, n: int, trials: int, beta_span: Sequence[float],
+                      gamma_span: Sequence[float]) -> None:
+        """Raise ValueError unless the table was built at d, n and trials, and
+        EtaTableRangeError unless every query in the [lo, hi] spans is inside
+        it, by the same range rule as eta."""
+        for name, have, want in (("d", self.d, d), ("n", self.n, n), ("trials", self.trials, trials)):
+            if have != want:
+                raise ValueError(f"table has {name}={have}, request needs {name}={want}")
         for name, span, grid in (("beta", beta_span, self.beta_grid),
                                  ("gamma", gamma_span, self.gamma_grid)):
             if np.any(_outside(np.asarray(span, dtype=float), grid)):
@@ -540,31 +541,26 @@ class EtaUTable:
         return table
 
 
-def _nearest_m(N: int, beta: float) -> int:
-    """The sample count that realizes the aspect ratio beta = N/m most closely."""
-    return max(1, int(round(N / beta)))
-
-
 def eta_u_table(
     d: int,
-    beta_grid: Sequence[float],
+    ms: Sequence[int],
     gamma_grid: Sequence[float],
     n: int,
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
+    threads: Optional[int] = 1,
 ) -> EtaUTable:
-    """Simulate eta^(n)_u on the grid.  Each beta node is realized by the
-    nearest integer m; the stored grid holds the achieved aspect ratios."""
+    """Simulate eta^(n)_u at the sample counts ms and on the gamma grid.
+
+    The distinct m run in descending order, node i at seed + i, and the
+    stored beta grid is their aspect ratios n^d/m, ascending."""
     from .sampling import uniform_distribution
 
-    beta_grid = np.sort(np.asarray(beta_grid, dtype=float))
+    ms = sorted(set(ms), reverse=True)
     gamma_grid = np.sort(np.asarray(gamma_grid, dtype=float))
-    if beta_grid[0] <= 0 or gamma_grid[0] <= 0:
-        raise ValueError("grids must be positive (gamma=0 is handled exactly)")
+    if ms[-1] < 1 or gamma_grid[0] <= 0:
+        raise ValueError("need every m >= 1 and every gamma > 0 (gamma=0 is handled exactly)")
     uni = uniform_distribution(d)
-    ms = sorted({_nearest_m(n ** d, b) for b in beta_grid}, reverse=True)
-    achieved = np.array([n ** d / m for m in ms])
     values = np.empty((len(ms), len(gamma_grid)))
     for i, m in enumerate(ms):
         summary = aesd(uni, n, m, trials, seed=seed + i, threads=threads)
@@ -574,7 +570,7 @@ def eta_u_table(
         n=n,
         trials=trials,
         seed=seed,
-        beta_grid=achieved,
+        beta_grid=np.array([n ** d / m for m in ms]),
         gamma_grid=gamma_grid,
         values=values,
     )
@@ -589,7 +585,7 @@ def build_eta_table(
     gamma_nodes: int = 40,
     trials: int = 50,
     seed: int = 42,
-    threads: Optional[int] = None,
+    threads: Optional[int] = 1,
 ) -> EtaUTable:
     """Log-spaced table covering the requested spans with 5% padding.
 
@@ -600,19 +596,19 @@ def build_eta_table(
     m < 1, and raises EtaTableRangeError before any trial.
     """
     N, (lo, hi) = n ** d, beta_span
-    bgrid = np.geomspace(lo * 0.95, hi * 1.05, beta_nodes)
-    if N / _nearest_m(N, bgrid[0]) > lo * (1 + ETA_RANGE_SLACK):
-        bgrid[0] = N / math.ceil(N / lo)
-    if N / _nearest_m(N, bgrid[-1]) < hi * (1 - ETA_RANGE_SLACK):
+    ms = [max(1, round(N / b)) for b in np.geomspace(lo * 0.95, hi * 1.05, beta_nodes)]
+    if N / ms[0] > lo * (1 + ETA_RANGE_SLACK):
+        ms[0] = math.ceil(N / lo)
+    if N / ms[-1] < hi * (1 - ETA_RANGE_SLACK):
         if N < hi:
             raise EtaTableRangeError(
                 f"beta span [{lo:.5g}, {hi:.5g}] reaches above n^d = {N}: no m >= 1 realizes it"
             )
-        bgrid[-1] = N / math.floor(N / hi)
+        ms[-1] = math.floor(N / hi)
     gspan = (gamma_span[0] * 0.95, gamma_span[1] * 1.05)
     return eta_u_table(
         d,
-        bgrid,
+        ms,
         np.geomspace(*gspan, gamma_nodes),
         n,
         trials,

@@ -10,7 +10,7 @@ from vanspec.moments import asymptotic_moment
 from vanspec.partitions import SetPartition, _first_occurrence
 from vanspec.reconstruct import COND_TOL, LmmseResult
 from vanspec.sampling import SamplingDistribution
-from vanspec.scenarios import _fading_b
+from vanspec.scenarios import CsmaProfile, _fading_b
 from vanspec.spectral import DFoldVandermonde, _gram_view, _khatri_rao
 
 
@@ -209,6 +209,52 @@ def synthesize_field(a: np.ndarray, n: int, d: int, x) -> complex | np.ndarray:
     phases = pts @ multi_indices(n, d).T  # (q, n^d)
     vals = (np.exp(2j * np.pi * phases) @ a) * n ** (-d / 2)
     return complex(vals[0]) if single else vals
+
+
+# ---------------------------------------------------------------------------
+# Fourier coefficients of the densities
+#
+# f_hat(j) = int_H f(z) exp(-2*pi*i j.z) dz at integer lags j, given as an
+# (..., d) array with axis 1 first.  It is the expectation of every Gram sum
+# c(j) = m^-1 sum_q exp(-2*pi*i j.x_q) over x_q drawn from f, at every m.
+
+
+def uniform_fourier(j: np.ndarray) -> np.ndarray:
+    """Uniform on H: delta_j0."""
+    return np.all(np.asarray(j) == 0, axis=-1).astype(complex)
+
+
+def hole_fourier(c: float, j: np.ndarray) -> np.ndarray:
+    """Uniform on the centred cube of side c^(1/d): prod_a sinc(j_a c^(1/d))."""
+    j = np.asarray(j, dtype=float)
+    return np.prod(np.sinc(j * c ** (1.0 / j.shape[-1])), axis=-1).astype(complex)
+
+
+def fading_fourier(a: float, j: np.ndarray) -> np.ndarray:
+    """b exp(-a |z|^2) on the unit square (d = 2): b g(j_1) g(j_2), with
+    g(k) = int_{-1/2}^{1/2} exp(-a z^2) cos(2 pi k z) dz by a 200-node
+    Gauss-Legendre rule (the odd part integrates to zero)."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    z, w = t / 2.0, w / 2.0
+    j = np.asarray(j, dtype=float)
+
+    def g(k):
+        return (w * np.exp(-a * z ** 2) * np.cos(2.0 * np.pi * k[..., None] * z)).sum(axis=-1)
+
+    return (_fading_b(a) * g(j[..., 0]) * g(j[..., 1])).astype(complex)
+
+
+def csma_fourier(profile: CsmaProfile, j: np.ndarray) -> np.ndarray:
+    """Density p_s(i) on the vertical strip i of the unit square (d = 2):
+    delta(j_2) sum_i p_s(i) int_{strip i} exp(-2 pi i j_1 z) dz."""
+    j = np.asarray(j)
+    edges = np.concatenate([[0.0], np.cumsum(profile.hierarchy.areas)]) - 0.5
+    k = j[..., 0, None].astype(float)
+    lo, hi = edges[:-1], edges[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        strip = (np.exp(-2j * np.pi * k * hi) - np.exp(-2j * np.pi * k * lo)) / (-2j * np.pi * k)
+    strip = np.where(k == 0, hi - lo, strip)
+    return np.where(j[..., 1] == 0, strip @ profile.normalized_success, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
-from vanspec import spectral
+from vanspec import sampling, spectral
+from vanspec.reconstruct import mse_monte_carlo
 from vanspec.sampling import GxDiscreteAtoms, uniform_distribution
 from vanspec.spectral import (
     ATOM_TOL_REL,
     DFoldVandermonde,
     EtaTableRangeError,
     EtaUTable,
+    _gram_view,
     _ks_distance,
     _pchip,
     aesd,
@@ -45,13 +49,17 @@ from vanspec.scenarios import (
 
 from helpers import (
     GxEmpirical,
+    csma_fourier,
     empirical_density_of_density,
     exact_phase_powers,
+    fading_fourier,
     gram_matrix,
     gx_distribution,
+    hole_fourier,
     multi_indices,
     point_distribution,
     real_twin,
+    uniform_fourier,
     uniform_moment,
     vandermonde_entries,
 )
@@ -268,6 +276,50 @@ def test_aesd_eigensolves_are_real(monkeypatch):
     assert calls == [(np.dtype(np.float64), (25, 25))] * 7
 
 
+def _fourier_cases():
+    a = db_to_linear(5.0)
+    csma = csma_success_profile(quadrant_hierarchy([5e-3, 1e-3, 1e-3, 1e-4]))  # fig7's loads
+    return [
+        pytest.param(uniform_distribution(1), uniform_fourier, 16, 61, id="uniform-d1"),
+        pytest.param(uniform_distribution(2), uniform_fourier, 5, 62, id="uniform-d2"),
+        pytest.param(hole_distribution(0.8, 1), functools.partial(hole_fourier, 0.8), 16, 63,
+                     id="hole-c0.8-d1"),
+        pytest.param(hole_distribution(0.6, 2), functools.partial(hole_fourier, 0.6), 5, 64,
+                     id="hole-c0.6-d2"),
+        pytest.param(fading_distribution(5.0), functools.partial(fading_fourier, a), 5, 65,
+                     id="fading-5dB"),
+        pytest.param(csma.distribution, functools.partial(csma_fourier, csma), 5, 66,
+                     id="csma-fig7"),
+    ]
+
+
+@pytest.mark.parametrize("dist, f_hat, n, seed", _fourier_cases())
+def test_gram_sums_average_to_the_density_fourier_coefficients(dist, f_hat, n, seed):
+    # E c(j) = f_hat(j) at every m: over 400 trials at m = 40, the mean of
+    # each Gram sum sits within a few standard errors of the density's exact
+    # Fourier coefficient.  That ties the sampler to its density and to what
+    # the Gram sees.  One lag of each +-j pair (c(-j) = conj c(j)); the real
+    # and imaginary means are K = 2 x lags tests, each held to the Bonferroni
+    # bound of a family-wise level of 1e-3.
+    trials = 400
+    # lags in the array order of c (axis d first), first nonzero entry positive
+    lags = np.array([j for j in itertools.product(range(1 - n, n), repeat=dist.d)
+                     if next((v for v in j if v), 0) > 0])
+    at = tuple(np.maximum(lags, 0).T) + tuple(np.maximum(-lags, 0).T)  # T[l, l'] = c(l - l')
+
+    def sums(trial_seed):
+        T = _gram_view(build_vandermonde(dist, n, 40, trial_seed))
+        return np.append(T[at], T[(0,) * 2 * dist.d])
+
+    c = np.array(spectral._run_trials(sums, trials, seed, threads=1))
+    assert np.all(c[:, -1] == 1.0)
+    c, want = c[:, :-1], f_hat(lags[:, ::-1])
+    z = np.concatenate([(part(c).mean(axis=0) - part(want))
+                        / (part(c).std(axis=0, ddof=1) / np.sqrt(trials))
+                        for part in (np.real, np.imag)])
+    assert np.abs(z).max() <= norm.ppf(1 - 1e-3 / (2 * z.size))
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -297,6 +349,21 @@ def test_aesd_rejects_negative_threads_before_any_trial(threads):
     # None and 0 still mean all cores
     for ok in (None, 0):
         assert aesd(uniform_distribution(1), 4, 4, trials=2, seed=0, threads=ok).trials == 2
+
+
+@pytest.mark.parametrize("call", ["aesd", "mse_monte_carlo", "eta_u_table"])
+def test_zero_trials_is_refused_before_any_draw(call, monkeypatch):
+    drawn = []
+    spy = dataclasses.replace(uniform_distribution(1), sampler=lambda seed, m: drawn.append(m))
+    monkeypatch.setattr(sampling, "uniform_distribution", lambda d: spy)  # eta_u_table's
+    run = {
+        "aesd": lambda: aesd(spy, 16, 20, trials=0, seed=11),
+        "mse_monte_carlo": lambda: mse_monte_carlo(spy, 16, 20, [2.0], trials=0, seed=11),
+        "eta_u_table": lambda: eta_u_table(1, [20], [2.0], n=16, trials=0, seed=11),
+    }[call]
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run()
+    assert not drawn
 
 
 def test_aesd_histogram_mass_and_trace():
@@ -472,7 +539,7 @@ def test_eta_mixture_hole_floor():
 
 
 def test_eta_table_basics_and_rangecheck():
-    tab = eta_u_table(1, [0.4, 0.8], np.geomspace(0.1, 20, 12), n=24, trials=4, seed=3)
+    tab = eta_u_table(1, [60, 30], np.geomspace(0.1, 20, 12), n=24, trials=4, seed=3)
     assert tab.eta(0.5, 0.0) == 1.0
     v = tab.eta(0.6, 1.0)
     assert 0.0 < v < 1.0
@@ -486,7 +553,7 @@ def test_eta_table_one_gamma_node():
     # one gamma node, as one beta node: a query at the node reads the beta
     # column there (a straight line in log beta through two nodes), and a
     # query off the node is out of range
-    tab = eta_u_table(1, [0.5, 1.0], [2.0], n=8, trials=2, seed=0)
+    tab = eta_u_table(1, [16, 8], [2.0], n=8, trials=2, seed=0)
     line = PchipInterpolator(np.log(tab.beta_grid), tab.values[:, 0])
     assert tab.eta(0.7, 2.0) == pytest.approx(float(line(np.log(0.7))), rel=1e-12)
     assert tab.eta(tab.beta_grid, [2.0, 2.0]).tolist() == tab.values[:, 0].tolist()
@@ -508,7 +575,7 @@ def test_built_eta_table_covers_its_beta_span(d, n, lo_frac, width):
     lo = lo_frac * N
     hi = lo + width * (N - lo)
     tab = build_eta_table(d, n, (lo, hi), (1.0, 2.0), beta_nodes=3, gamma_nodes=2, trials=1)
-    tab.check_covers((lo, hi), (1.0, 2.0))
+    tab.check_request(d, n, 1, (lo, hi), (1.0, 2.0))
     assert np.allclose(N / tab.beta_grid, np.round(N / tab.beta_grid), rtol=1e-12)
 
 
@@ -530,12 +597,12 @@ def test_eta_table_matches_direct_simulation():
 
 def test_eta_table_small_beta_large_gamma_vanishes():
     # eta_u(d, beta, gamma/beta) -> 0 as beta -> 0
-    tab = eta_u_table(1, [0.01], np.geomspace(0.5, 2000, 24), n=100, trials=10, seed=8)
+    tab = eta_u_table(1, [10000], np.geomspace(0.5, 2000, 24), n=100, trials=10, seed=8)
     assert tab.eta(0.01, 10.0 / 0.01) < 0.05
 
 
 def test_eta_table_save_load_roundtrip(tmp_path):
-    tab = eta_u_table(1, [0.4, 0.8], np.geomspace(0.1, 10, 8), n=16, trials=3, seed=1)
+    tab = eta_u_table(1, [40, 20], np.geomspace(0.1, 10, 8), n=16, trials=3, seed=1)
     path = tmp_path / "tab.json"
     tab.save(str(path))
     back = tab.load(str(path))
