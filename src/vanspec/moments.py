@@ -12,7 +12,6 @@ uniform-phase values.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ def density_power_integrals(dist: SamplingDistribution, P: int) -> tuple[float, 
     return tuple(dist.support_measure * float(np.sum(w * y ** k)) for k in range(1, P + 1))
 
 
-@lru_cache(maxsize=None)
 def _omega_sum(p: int, k: int, d: int) -> Fraction:
     """Exact sum of v(omega)^d over all k-block partitions of {1..p}."""
     return sum(v ** d for v in coefficient_table(p, k).values())

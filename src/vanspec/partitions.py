@@ -11,9 +11,16 @@ Column i of A is +1 at block labels[i] and -1 at block labels[i+1], so A is
 the incidence matrix of a directed multigraph and totally unimodular.  The
 polytope Q = {x in [0,1]^p : A x = 0} is then integral, and the count is its
 Ehrhart polynomial L_Q(n - 1): a polynomial, never a quasi-polynomial, for
-every n >= 1, with L_Q(0) = 1, of degree dim Q = p - k + 1 (the cycle visits
-every block, and x = 1/2 is interior; Beck & Robins, Computing the Continuous
-Discretely, 2007, ch. 3).
+every n >= 1, with L_Q(0) = 1, of degree D = dim Q = p - k + 1 (the cycle
+visits every block, and x = 1/2 is interior; Beck & Robins, Computing the
+Continuous Discretely, 2007, ch. 3).
+
+Q lies in [0,1]^p and holds 0 and 1 (A 1 = 0), so the lattice points in the
+relative interior of tQ are those of (t-2)Q shifted by 1.  Ehrhart-Macdonald
+reciprocity (Macdonald, J. London Math. Soc. 4, 1971; Beck & Robins, ch. 4)
+then gives count(-n) = (-1)^D count(n) and count(0) = 0, so the count is
+n^e R(n^2) with e = 2 - D % 2, R of degree ceil(D/2) - 1 and v(omega) the
+leading coefficient of R.
 
 v(omega) is constant on each dihedral orbit of partitions.  The moment is a
 trace over a cyclic index sequence: rotating the partition is a cyclic shift
@@ -38,7 +45,7 @@ P_MAX = 7
 
 
 class LatticeFitError(RuntimeError):
-    """Lattice counts failed to fit a degree-(p-k+1) polynomial exactly."""
+    """Lattice counts failed to fit their Ehrhart polynomial exactly."""
 
 
 def _first_occurrence(labels) -> tuple[int, ...]:
@@ -177,30 +184,19 @@ def lattice_count(part: SetPartition, n: int) -> int:
             new[tuple(sl)] += state
         state = new
 
-        # Trim each touched axis to balances still able to return to zero.
+        # A block whose last position has moved keeps only its zero balance.
         for b in (bp, bm):
             remaining[b] -= 1
-            ax = axes.index(b)
-            reach = (n - 1) * remaining[b]
-            lo = max(0, offs[b] - reach)
-            hi = min(state.shape[ax], offs[b] + reach + 1)
-            if offs[b] < 0 or offs[b] >= state.shape[ax]:
-                return 0
             if remaining[b] == 0:
-                state = np.take(state, offs[b], axis=ax)
+                ax = axes.index(b)
+                state = np.take(state, offs.pop(b), axis=ax)
                 axes.pop(ax)
-                del offs[b]
-            else:
-                sl = [slice(None)] * state.ndim
-                sl[ax] = slice(lo, hi)
-                state = state[tuple(sl)]
-                offs[b] -= lo
 
     assert state.ndim == 0
     return int(state) * scale
 
 
-def _leading_coefficient(xs: list[int], ys: list[int], degree: int) -> Fraction:
+def _leading_coefficient(xs: list[int], ys: list[int | Fraction], degree: int) -> Fraction:
     """Leading coefficient of the degree-d interpolant through (xs, ys),
     validated against the extra supplied points.  Exact rationals."""
     coeffs = [Fraction(y) for y in ys]
@@ -213,9 +209,7 @@ def _leading_coefficient(xs: list[int], ys: list[int], degree: int) -> Fraction:
     # data really is a degree-d polynomial.
     for j in range(degree + 1, len(xs)):
         if coeffs[j] != 0:
-            raise LatticeFitError(
-                f"counts at n={xs} are not a degree-{degree} polynomial"
-            )
+            raise LatticeFitError(f"values at x={xs} are not a degree-{degree} polynomial")
     return lead
 
 
@@ -231,19 +225,18 @@ def canonical(labels: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _fit_coefficient(part: SetPartition) -> Fraction:
-    """v(omega) of this very partition, uncached: the exact leading
-    coefficient of its Ehrhart polynomial, of degree D = p - k + 1 for every
-    n >= 1 (module docstring; Beck & Robins 2007, ch. 3), fit on the counts at
-    n = 1..D+1 and checked at n = D+2; counts off it raise LatticeFitError."""
+    """v(omega) of this very partition, uncached: the leading coefficient of R
+    (module docstring), fit on the counts at n = 1..ceil(D/2) and checked at
+    n = ceil(D/2) + 1; counts off it raise LatticeFitError."""
     if part.p > P_MAX:
         raise ValueError(f"p={part.p} above counting cap {P_MAX}")
     degree = part.p - part.k + 1
-    xs = list(range(1, degree + 3))
-    lead = _leading_coefficient(xs, [lattice_count(part, n) for n in xs], degree)
+    half, e = (degree + 1) // 2, 2 - degree % 2
+    ns = range(1, half + 2)
+    lead = _leading_coefficient([n * n for n in ns],
+                                [Fraction(lattice_count(part, n), n ** e) for n in ns], half - 1)
     if not 0 < lead <= 1:
-        raise LatticeFitError(
-            f"v({part}) = {lead} outside (0, 1]; counting bug suspected"
-        )
+        raise LatticeFitError(f"v({part}) = {lead} outside (0, 1]; counting bug suspected")
     return lead
 
 

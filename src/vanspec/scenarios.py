@@ -9,6 +9,7 @@ MSE follows by the eta-transform mixture.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -252,6 +253,7 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
         return p_s[idx]
 
     strip_mass = areas * p_s  # sums to 1 by normalization
+    digest = hashlib.sha256(repr((areas.tolist(), p_s.tolist())).encode()).hexdigest()[:8]
 
     def sampler(seed, m: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -268,7 +270,7 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
         gx=GxDiscreteAtoms(
             atoms=tuple((float(p_s[i]), float(areas[i])) for i in range(L) if covered[i])
         ),
-        id=f"csma-L{L}-H{H}",
+        id=f"csma-L{L}-H{H}-{digest}",  # the areas and p_s fix the distribution
     )
     return CsmaProfile(
         hierarchy=hier,

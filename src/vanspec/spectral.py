@@ -32,6 +32,8 @@ ATOM_TOL_REL = 1e-4
 EIG_TOL_REL = 1e-8
 # Desk-scale cap on the Gram size n^d.
 NDIM_CAP = 1024
+# Entries of empirical_eta's temporary: 1 MiB of float64.
+ETA_BLOCK = 2 ** 17
 
 
 def _run_trials(worker: Callable[[np.random.SeedSequence], object], trials: int, seed: int,
@@ -296,10 +298,14 @@ def empirical_eta(summary: SpectrumSummary, gamma: float | np.ndarray) -> float 
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be >= 0")
-    core = np.multiply.outer(g, summary.eigenvalues)  # the one temporary
-    core += 1.0
-    core = np.divide(1.0, core, out=core).mean(axis=-1)
-    eta = summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * core
+    lam, flat = summary.eigenvalues, g.reshape(-1)
+    core = np.empty(flat.shape)
+    rows = max(1, ETA_BLOCK // max(1, lam.size))  # gamma rows per temporary
+    for i in range(0, flat.size, rows):
+        block = np.multiply.outer(flat[i:i + rows], lam)
+        block += 1.0
+        core[i:i + rows] = np.divide(1.0, block, out=block).mean(axis=-1)
+    eta = summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * core.reshape(g.shape)
     return float(eta) if g.ndim == 0 else eta
 
 

@@ -1,12 +1,14 @@
 """Write the golden values that tests/test_golden.py checks the CLI against.
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [name ...]
 
 Each case runs one small CLI command in a fresh interpreter at seed 42 with
 --threads 1 and one BLAS thread (OPENBLAS_NUM_THREADS=1), and stores its argv,
 its '#' metadata and its CSV cells, as written, in tests/golden/<name>.json.
-Regenerate only when an output is meant to change, and say which in the
-change log.
+A case whose argv ends in --svg also stores its plot: the points of each
+polyline, and the rest of the SVG text with those points cut out.
+Regenerate only when an output is meant to change (name the cases to
+regenerate just those), and say which in the change log.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,14 +46,26 @@ CASES = {
                        "--trials", "4"],
     "scenario-dense": ["scenario", "dense", "--a-db", "5", "--n", "4", "--trials", "4"],
     "reproduce-fig2": ["reproduce", "fig2"],
+    "spectrum-hole-d1-svg": ["spectrum", "--dist", "hole:c=0.5", "--n", "32", "--d", "1",
+                             "--beta", "0.5", "--trials", "4", "--bins", "17", "--svg"],
 }
+
+POLYLINE = re.compile(r'(<polyline points=")([^"]*)(")')
+
+
+def split_svg(text: str) -> dict:
+    """An SVG as its polylines' (x, y) points and its lines with those points cut out."""
+    points = [[[float(v) for v in pt.split(",")] for pt in m.group(2).split()]
+              for m in POLYLINE.finditer(text)]
+    return {"points": points, "text": POLYLINE.sub(r"\1\3", text).splitlines()}
 
 
 def run_case(argv: list[str], src: str = SRC) -> dict:
     """Run `python -m vanspec.cli` on argv; return its metadata, header and rows.
 
     A `reproduce <figure>` case writes into a temporary --out-dir, and its
-    <figure>.csv is read; every other case writes the temporary --out.
+    <figure>.csv is read; every other case writes the temporary --out.  An
+    argv ending in --svg gets a temporary SVG path, read by `split_svg`.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -61,26 +76,38 @@ def run_case(argv: list[str], src: str = SRC) -> dict:
         else:
             out = os.path.join(tmp, "out.csv")
             dest = ["--out", out]
+        svg = os.path.join(tmp, "out.svg") if argv[-1] == "--svg" else None
+        if svg:
+            dest = [svg, *dest]
         subprocess.run([sys.executable, "-m", "vanspec.cli", *argv, *dest],
                        env=env, check=True, capture_output=True, text=True, timeout=600)
         with open(out, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+        plot = {}
+        if svg:
+            with open(svg, encoding="utf-8") as fh:
+                plot["svg"] = split_svg(fh.read())
     meta = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
     table = list(csv.reader(line for line in lines if not line.startswith("# ")))
-    return {"meta": meta, "header": table[0], "rows": table[1:]}
+    return {"meta": meta, "header": table[0], "rows": table[1:], **plot}
 
 
 def _dumps(golden: dict) -> str:
     """JSON with one metadata entry and one CSV row per line."""
     meta = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in golden["meta"].items())
     rows = ",\n".join(f"  {json.dumps(r)}" for r in golden["rows"])
+    svg = ""
+    if "svg" in golden:
+        points = ",\n".join(f"   {json.dumps(line)}" for line in golden["svg"]["points"])
+        text = ",\n".join(f"   {json.dumps(line)}" for line in golden["svg"]["text"])
+        svg = f',\n "svg": {{\n  "points": [\n{points}\n  ],\n  "text": [\n{text}\n  ]\n }}'
     return (f'{{\n "argv": {json.dumps(golden["argv"])},\n "meta": {{\n{meta}\n }},\n'
-            f' "header": {json.dumps(golden["header"])},\n "rows": [\n{rows}\n ]\n}}\n')
+            f' "header": {json.dumps(golden["header"])},\n "rows": [\n{rows}\n ]{svg}\n}}\n')
 
 
-def main() -> int:
-    for name, argv in CASES.items():
-        argv = GLOBAL + argv
+def main(names: list[str]) -> int:
+    for name in names or CASES:
+        argv = GLOBAL + CASES[name]
         golden = {"argv": argv, **run_case(argv)}
         with open(os.path.join(HERE, f"{name}.json"), "w", encoding="utf-8") as fh:
             fh.write(_dumps(golden))
@@ -89,4 +116,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

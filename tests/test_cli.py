@@ -124,6 +124,53 @@ def test_scenario_csma_with_config_file(tmp_path):
     assert float(meta["p_s_1"]) < float(meta["p_s_2"])
 
 
+def _quadrant_config(lambda1):
+    return {"areas": [0.25] * 4, "H": 3, "m": [[10, 6, 4]] * 4, "lambda1": lambda1}
+
+
+def _moments_bytes(tmp_path, name, dist, d):
+    out = tmp_path / f"{name}.csv"
+    assert main(["moments", "--dist", dist, "--d", str(d), "--beta", "0.5", "--max-p", "4",
+                 "--n", "6", "--trials", "3", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _dist_file(tmp_path, name, payload):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_csma_dist_files_with_different_loads_get_different_configs(tmp_path):
+    # fig6's and fig7's loads give different distributions, so their files
+    # must not share a config (and hash) while their moments differ
+    metas = []
+    for fig, lambda1 in (("fig6", [1e-3, 2e-4, 2e-4, 2e-5]), ("fig7", [5e-3, 1e-3, 1e-3, 1e-4])):
+        dist = _dist_file(tmp_path, fig, {"kind": "csma", "hierarchy": _quadrant_config(lambda1)})
+        _moments_bytes(tmp_path, fig, dist, 2)
+        metas.append(read_rows(str(tmp_path / f"{fig}.csv")))
+    (meta6, _, rows6), (meta7, _, rows7) = metas
+    assert rows6 != rows7
+    assert meta6["config"] != meta7["config"]
+    assert meta6["config_hash"] != meta7["config_hash"]
+
+
+def test_dist_file_writes_what_its_inline_spec_writes(tmp_path):
+    # the README's example file is the inline hole:c=0.8
+    dist = _dist_file(tmp_path, "hole", {"kind": "hole", "c": 0.8, "d": 1})
+    assert _moments_bytes(tmp_path, "file", dist, 1) == _moments_bytes(
+        tmp_path, "inline", "hole:c=0.8", 1)
+
+
+def test_csma_inline_hierarchy_and_config_path_write_the_same_bytes(tmp_path):
+    hier = _quadrant_config([1e-3, 2e-4, 2e-4, 2e-5])
+    inline = _dist_file(tmp_path, "inline", {"kind": "csma", "hierarchy": hier})
+    by_path = _dist_file(tmp_path, "by-path", {
+        "kind": "csma", "config": _dist_file(tmp_path, "hier", hier)})
+    assert _moments_bytes(tmp_path, "inline", inline, 2) == _moments_bytes(
+        tmp_path, "by-path", by_path, 2)
+
+
 def test_csma_collision_that_is_not_an_object_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "hier.json"
     cfg.write_text(json.dumps({"areas": [1.0], "H": 1, "m": [[2]], "lambda1": [0.1],
@@ -550,10 +597,17 @@ def test_runtime_needs_no_scipy(tmp_path):
         """)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.splitlines()[-1]) == [0, 0, 0]
-    res = _run_python("""
+
+
+def test_runtime_loads_no_test_tools(tmp_path):
+    # numpy is the one runtime dependency: importing the CLI and running a
+    # command must load none of the test-only packages
+    res = _run_python(f"""
         import sys
         import vanspec.cli
-        print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+        assert vanspec.cli.main(["partitions", "--p", "3", "--out", {str(tmp_path / "p.csv")!r}]) == 0
+        print(sorted(k for k in sys.modules
+                     if k.split(".")[0] in ("scipy", "hypothesis", "pytest", "_pytest")))
         """)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

@@ -2,7 +2,8 @@
 
 Each case reruns its argv in a fresh interpreter with one BLAS thread and
 compares every metadata value and CSV cell: text and integers exactly,
-floats within 1e-9 relative.
+floats within 1e-9 relative.  A case with a plot compares its polyline
+points within SVG_PX and the rest of its SVG text exactly.
 """
 
 import json
@@ -14,6 +15,9 @@ import pytest
 from golden.make_golden import CASES, GLOBAL, HERE, run_case
 
 REL = 1e-9
+# Pixel coordinates are written with two decimals, so a last-bit move of a
+# value can flip one by 0.01 px.
+SVG_PX = 0.011
 
 
 def _same(want: str, got: str) -> bool:
@@ -55,3 +59,11 @@ def test_cli_matches_golden(name):
     for i, (w_row, g_row) in enumerate(zip(want["rows"], got["rows"])):
         assert len(g_row) == len(w_row), i
         assert all(_same(w, g) for w, g in zip(w_row, g_row)), (i, w_row, g_row)
+    assert ("svg" in got) == ("svg" in want)
+    if "svg" in want:
+        assert got["svg"]["text"] == want["svg"]["text"]
+        assert [len(line) for line in got["svg"]["points"]] == [
+            len(line) for line in want["svg"]["points"]]
+        for w_line, g_line in zip(want["svg"]["points"], got["svg"]["points"]):
+            assert max(abs(g - w) for w_pt, g_pt in zip(w_line, g_line)
+                       for w, g in zip(w_pt, g_pt)) <= SVG_PX, (w_line, g_line)

@@ -203,10 +203,8 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(partitions, "lattice_count", counting)
     coefficient_table.cache_clear()
-    moments._omega_sum.cache_clear()
     yield calls
     coefficient_table.cache_clear()
-    moments._omega_sum.cache_clear()
 
 
 def test_counting_runs_after_shortcut(counted):
@@ -294,14 +292,44 @@ def test_cold_moment_sums_count_one_partition_per_orbit(counted):
     for p in range(1, P_MAX + 1):
         for k in range(1, p + 1):
             moments._omega_sum(p, k, 1)
-    assert len(counted) == 384
+    assert len(counted) == 208
     labels_counted = {labels for labels, _ in counted}
     assert len(labels_counted) == 60
     # each orbit is counted at its representative, and no noncrossing one is
     assert all(canonical(labels) == labels for labels in labels_counted)
     assert not any(is_noncrossing(SetPartition(labels)) for labels in labels_counted)
-    # the fit window is n = 1..D+2, D = p - k + 1
-    assert all(n <= len(labels) - max(labels) + 3 for labels, n in counted)
+    # the fit window is n = 1..ceil(D/2)+1, D = p - k + 1, so n <= 4 at p <= 7
+    assert all(n <= (len(labels) - max(labels) + 2) // 2 + 1 for labels, n in counted)
+    assert max(n for _, n in counted) == 4
+
+
+def _interpolant(points):
+    """The exact polynomial through points {x: y}, as a function (Lagrange form)."""
+    def value(x):
+        total = Fraction(0)
+        for xi, yi in points.items():
+            term = Fraction(yi)
+            for xj in points:
+                if xj != xi:
+                    term *= Fraction(x - xj, xi - xj)
+            total += term
+        return total
+    return value
+
+
+def test_counts_obey_ehrhart_macdonald_reciprocity():
+    # the degree-D interpolant of the counts at n = 1..D+1 vanishes at n = 0
+    # and has count(-n) = (-1)^D count(n) for n = 1..D+2: the shape the fit
+    # takes as given, on all 155 orbits at p <= 7, noncrossing ones included
+    orbits = {canonical(q.labels) for p in range(1, P_MAX + 1) for q in enumerate_partitions(p)}
+    assert len(orbits) == 155
+    for labels in orbits:
+        q = SetPartition(labels)
+        degree = q.p - q.k + 1
+        counts = {n: lattice_count(q, n) for n in range(1, degree + 3)}
+        count = _interpolant({n: counts[n] for n in range(1, degree + 2)})
+        assert count(0) == 0, labels
+        assert all(count(-n) == (-1) ** degree * c for n, c in counts.items()), labels
 
 
 def test_ehrhart_fit_matches_fit_at_large_n():

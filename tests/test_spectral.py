@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from vanspec.spectral import (
     DFoldVandermonde,
     EtaTableRangeError,
     EtaUTable,
+    SpectrumSummary,
     _gram_view,
     _ks_distance,
     _pchip,
@@ -439,6 +441,22 @@ def test_empirical_eta_array_is_the_scalar_calls():
         assert np.array_equal(eta, [empirical_eta(s, float(g)) for g in gammas])
     with pytest.raises(ValueError):
         empirical_eta(base, np.array([1.0, -1e-300]))
+
+
+def test_empirical_eta_temporary_is_bounded():
+    # the largest desk table node pools 51,200 eigenvalues (n^d = 1,024, 50
+    # trials) and reads 40 gamma nodes: one 40-row temporary peaked at 16.4 MB
+    lam = np.sort(np.random.default_rng(0).random(51_200) * 4.0)
+    s = SpectrumSummary(lam, 50, 32, 2, 1280, np.zeros(lam.size, dtype=bool))
+    gammas = np.geomspace(1e-3, 1e4, 40)
+    tracemalloc.start()
+    try:
+        eta = empirical_eta(s, gammas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert np.array_equal(eta, [empirical_eta(s, float(g)) for g in gammas])
 
 
 def test_empirical_eta_regression_baseline():
