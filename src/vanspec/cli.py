@@ -184,6 +184,17 @@ def read_json_object(path: str) -> dict:
     return payload
 
 
+def as_integer(key: str, value) -> int:
+    """value as an int: an integer, or a float with no fraction (inline --dist
+    items parse as floats).  Anything else, a bool included, is a usage
+    error that names key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_hierarchy(payload: dict) -> ClusterHierarchy:
     try:
         collision_cfg = payload.get("collision", {"type": "default"})
@@ -192,8 +203,8 @@ def load_hierarchy(payload: dict) -> ClusterHierarchy:
         params = CollisionParams(**collision_cfg.get("params", {}))
         return ClusterHierarchy(
             areas=tuple(float(a) for a in payload["areas"]),
-            H=int(payload["H"]),
-            nodes=tuple(tuple(int(v) for v in row) for row in payload["m"]),
+            H=as_integer("H", payload["H"]),
+            nodes=tuple(tuple(as_integer("m", v) for v in row) for row in payload["m"]),
             lambda1=tuple(float(v) for v in payload["lambda1"]),
             collision_model=functools.partial(default_collision_model, params=params),
         )
@@ -219,7 +230,7 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
                 raise UsageError(f"bad --dist item {item!r} in {spec!r}, want key=number")
     try:
         kind = payload.get("kind")
-        dist_d = int(payload.get("d", d or 1))
+        dist_d = as_integer("d", payload.get("d", d or 1))
         if kind == "uniform":
             dist = uniform_distribution(dist_d)
         elif kind == "hole":

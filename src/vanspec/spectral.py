@@ -1,11 +1,11 @@
 """d-fold Vandermonde matrices, empirical spectra and eta-transforms.
 
 Draws the points of the n^d x m sampling matrix V, builds V V^H from its
-multilevel Toeplitz structure, pools its eigenvalues over seeded trials into
-spectrum summaries (with the rank-deficiency atom at zero accounted
-separately), and applies the limiting-spectrum transform laws: support
-scaling, and the eta-transform mixture over the density-of-density g_x that
-yields the asymptotic MSE.
+multilevel Toeplitz structure, keeps the eigenvalues of each seeded trial as
+one row of a spectrum summary (with the rank-deficiency atom at zero cut per
+row), and applies the limiting-spectrum transform laws: support scaling, and
+the eta-transform mixture over the density-of-density g_x that yields the
+asymptotic MSE.
 """
 
 from __future__ import annotations
@@ -209,29 +209,37 @@ def gram_eigenvalues(V: DFoldVandermonde) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Pooled eigenvalue samples of V V^H over independent trials.
+    """Eigenvalues of V V^H over independent trials, one row per trial.
 
     extra_zero_mass is probability mass at zero added on top of the stored
     samples (used by the support-scaling transform); every expectation
     weights the samples by (1 - extra_zero_mass).
     """
 
-    eigenvalues: np.ndarray  # pooled, ascending
-    trials: int
-    n: int
-    d: int
+    rows: np.ndarray  # (trials, n^d), each row ascending, as gram_eigenvalues returns it
     m: int
-    atom: np.ndarray  # per sample: below ATOM_TOL_REL x its own trial's largest
     extra_zero_mass: float = 0.0
 
     @property
     def beta(self) -> float:
-        return self.n ** self.d / self.m
+        return self.rows.shape[1] / self.m
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The pooled samples, ascending; their order fixes the float sums of
+        the expectations."""
+        return np.sort(self.rows, axis=None)
+
+    @property
+    def atom(self) -> np.ndarray:
+        """Per sample, in the layout of rows: below ATOM_TOL_REL x its own
+        trial's largest eigenvalue."""
+        return self.rows < ATOM_TOL_REL * self.rows[:, -1:]
 
     @property
     def atom_zero_mass(self) -> float:
         """Fraction of the stored samples in the atom."""
-        return np.count_nonzero(self.atom) / self.atom.size
+        return np.count_nonzero(self.atom) / self.rows.size
 
     @property
     def total_atom_mass(self) -> float:
@@ -239,12 +247,11 @@ class SpectrumSummary:
 
 
 def histogram(summary: SpectrumSummary, bins="auto") -> tuple[np.ndarray, np.ndarray]:
-    """Edges and density of the summary's bulk, the samples outside its atom
-    mask; the density integrates to 1 - total_atom_mass.  bins is a count or
-    "auto" (Freedman-Diaconis, capped at 256 bins when it explodes)."""
-    positives = summary.eigenvalues[~summary.atom]
-    if positives.size == 0:
-        return np.array([0.0, 1.0]), np.array([0.0])
+    """Edges and density of the summary's bulk, the samples outside its atom;
+    the density integrates to 1 - total_atom_mass.  Each trial's largest
+    eigenvalue is in the bulk, so the bulk is never empty.  bins is a count
+    or "auto" (Freedman-Diaconis, capped at 256 bins when it explodes)."""
+    positives = summary.rows[~summary.atom]
     edges = np.histogram_bin_edges(positives, bins="fd" if bins == "auto" else bins)
     if len(edges) > 2048:  # FD can explode on heavy tails
         edges = np.histogram_bin_edges(positives, bins=256)
@@ -252,29 +259,9 @@ def histogram(summary: SpectrumSummary, bins="auto") -> tuple[np.ndarray, np.nda
     return edges, dens * ((1.0 - summary.extra_zero_mass) * (1.0 - summary.atom_zero_mass))
 
 
-def summarize_eigenvalues(
-    per_trial: Sequence[np.ndarray],
-    n: int,
-    d: int,
-    m: int,
-) -> SpectrumSummary:
-    """Pool per-trial eigenvalues into a SpectrumSummary.
-
-    One per-trial mask splits the samples: those below ATOM_TOL_REL x their
-    trial's largest eigenvalue are the atom, and the rest, exactly, the bulk
-    that histogram draws.
-    """
-    pooled = np.concatenate(per_trial)
-    atom = np.concatenate([lam < ATOM_TOL_REL * lam[-1] for lam in per_trial])
-    order = np.argsort(pooled, kind="stable")
-    return SpectrumSummary(
-        eigenvalues=pooled[order],
-        trials=len(per_trial),
-        n=n,
-        d=d,
-        m=m,
-        atom=atom[order],
-    )
+def summarize_eigenvalues(per_trial: Sequence[np.ndarray], m: int) -> SpectrumSummary:
+    """Keep each trial's ascending eigenvalues as one row of a SpectrumSummary."""
+    return SpectrumSummary(np.stack(per_trial), m)
 
 
 def aesd(
@@ -289,7 +276,7 @@ def aesd(
     return summarize_eigenvalues(
         _run_trials(lambda s: gram_eigenvalues(build_vandermonde(dist, n, m, s)),
                     trials, seed, threads),
-        n, dist.d, m)
+        m)
 
 
 def empirical_eta(summary: SpectrumSummary, gamma: float | np.ndarray) -> float | np.ndarray:
@@ -320,8 +307,8 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float) -> Spectr
     predict the spectrum under a support of measure c at aspect beta.
 
     The prediction adds mass (1 - c) at zero and maps each remaining sample
-    lambda -> lambda / c; the atom mask is the base's, since scaling a trial
-    keeps its own cut.
+    lambda -> lambda / c.  Each row scales with its own largest eigenvalue,
+    so the atom cut of each row stays the base's (up to rounding at the cut).
     """
     if not 0 < c <= 1:
         raise ValueError("c must be in (0, 1]")
@@ -331,7 +318,7 @@ def transform_scaled_lsd(base: SpectrumSummary, c: float, beta: float) -> Spectr
         )
     if c == 1.0:
         return base
-    return dataclasses.replace(base, eigenvalues=base.eigenvalues / c,
+    return dataclasses.replace(base, rows=base.rows / c,
                                extra_zero_mass=1.0 - c + c * base.extra_zero_mass)
 
 

@@ -171,6 +171,48 @@ def test_csma_inline_hierarchy_and_config_path_write_the_same_bytes(tmp_path):
         tmp_path, "by-path", by_path, 2)
 
 
+def _main_with_files(tmp_path, argv):
+    """main's exit code on argv + --out x.csv, with each dict in argv written
+    to a JSON file and a moments run given a small size."""
+    argv = [_dist_file(tmp_path, "in", a) if isinstance(a, dict) else a for a in argv]
+    if argv[0] == "moments":
+        argv += ["--beta", "0.5", "--max-p", "2", "--n", "6", "--trials", "1"]
+    return main(argv + ["--out", str(tmp_path / "x.csv")])
+
+
+def _with(payload, **change):
+    return {**payload, **change}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--dist", "hole:c=0.8,d=2.5", "--d", "2"], "d must be an integer, got 2.5"),
+    (["moments", "--dist", {"kind": "hole", "c": 0.8, "d": True}, "--d", "1"],
+     "d must be an integer, got True"),
+    (["moments", "--dist", {"kind": "hole", "c": 0.8, "d": "1"}, "--d", "1"],
+     "d must be an integer, got '1'"),
+    (["moments", "--dist", {"kind": "csma", "hierarchy": _with(
+        _quadrant_config([1e-3, 2e-4, 2e-4, 2e-5]), H=3.9)}, "--d", "2"],
+     "H must be an integer, got 3.9"),
+    (["scenario", "csma", "--config", _with(_quadrant_config([1e-3, 2e-4, 2e-4, 2e-5]), H=3.9)],
+     "H must be an integer, got 3.9"),
+    (["scenario", "csma", "--config", _with(_quadrant_config([1e-3, 2e-4, 2e-4, 2e-5]),
+                                            m=[[10.7, 6, 4]] * 4)],
+     "m must be an integer, got 10.7"),
+], ids=["inline-d", "file-d-bool", "file-d-string", "dist-hierarchy-H", "config-H",
+        "config-node-count"])
+def test_non_integer_dimension_and_counts_are_usage_errors(tmp_path, capsys, argv, message):
+    # int() once truncated each of these, and the CSV named an input not given
+    assert _main_with_files(tmp_path, argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_inline_integer_d_still_runs(tmp_path):
+    # inline items parse as floats; d=2 is the integer 2
+    assert _moments_bytes(tmp_path, "d2", "hole:c=0.8,d=2", 2) == _moments_bytes(
+        tmp_path, "plain", "hole:c=0.8", 2)
+
+
 def test_csma_collision_that_is_not_an_object_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "hier.json"
     cfg.write_text(json.dumps({"areas": [1.0], "H": 1, "m": [[2]], "lambda1": [0.1],
@@ -566,6 +608,32 @@ def test_json_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, argv, 
     assert main([a.format(file=path) for a in argv] + ["--out", str(out)]) == 2
     assert f"{path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+MSE_SMALL = ["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--gamma-db", "0"]
+
+
+@pytest.mark.parametrize("argv, rc, message", [
+    (MSE_SMALL + ["--beta", "half"], 2, "bad float list 'half'"),
+    (MSE_SMALL + ["--beta", "0.5", "--gamma-db", "0:x:10"], 2,
+     "bad dB range '0:x:10', want start:step:stop"),
+    (MSE_SMALL + ["--beta", "0.5", "--gamma-db", "10,0"], 2,
+     "gamma grid must be strictly increasing"),
+    (["scenario", "csma", "--config", _with(_quadrant_config([1e-3, 2e-4, 2e-4, 2e-5]),
+                                            collision={"type": "aloha"})],
+     2, "unknown collision model 'aloha'"),
+    (["moments", "--dist", "hole", "--d", "1"], 2, "hole distribution needs c"),
+    (["moments", "--dist", "fading", "--d", "2"], 2, "fading distribution needs a_db"),
+    (["moments", "--dist", {"kind": "csma"}, "--d", "2"], 2, "csma distribution needs a hierarchy"),
+    (["--eta-table", "{dir}"] + MSE_ARGV, 1, "vanspec: IsADirectoryError: "),
+], ids=["float-list", "db-range", "db-grid-decreasing", "collision-model", "hole-without-c",
+        "fading-without-a-db", "csma-without-hierarchy", "eta-table-directory"])
+def test_each_cli_guard_names_its_fault(tmp_path, capsys, argv, rc, message):
+    # a file that cannot be read is an error of the run (exit 1), not of usage
+    argv = [a.format(dir=tmp_path) if isinstance(a, str) else a for a in argv]
+    assert _main_with_files(tmp_path, argv) == rc
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

@@ -121,6 +121,15 @@ def test_moment_rejects_bad_args():
         asymptotic_moment(2, 1, -0.5, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: density_power_integrals(uniform_distribution(1), 0), "P must be >= 1"),
+    (lambda: asymptotic_moment(1, 0, 0.5, [1.0]), "d must be >= 1"),
+], ids=["P-zero", "d-zero"])
+def test_each_moments_guard_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c=st.floats(0.05, 1.0),

@@ -47,6 +47,26 @@ def bell_oracle(p):
     return b[p]
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SetPartition(()), ValueError, "empty partition"),
+    (lambda: SetPartition((1, 0)), ValueError, "bad block label 0"),
+    (lambda: SetPartition((1, 2.0)), ValueError, "bad block label 2.0"),
+    (lambda: enumerate_partitions(3, 4), ValueError, "k must be in 1..p, got 4"),
+    (lambda: _fit_coefficient(SetPartition((1,) * (P_MAX + 1))), ValueError,
+     f"p={P_MAX + 1} above counting cap {P_MAX}"),
+], ids=["empty", "label-zero", "label-float", "k-above-p", "p-above-cap"])
+def test_each_partitions_guard_names_its_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_fit_rejects_a_coefficient_outside_the_unit_interval(monkeypatch):
+    # all-zero counts lie on the zero polynomial, so only the range check fires
+    monkeypatch.setattr(partitions, "lattice_count", lambda part, n: 0)
+    with pytest.raises(LatticeFitError, match=r"v\(\{1,3\}\{2,4\}\) = 0 outside \(0, 1\]"):
+        _fit_coefficient(part((1, 3), (2, 4)))
+
+
 def test_enumerate_single_element():
     parts = enumerate_partitions(1)
     assert len(parts) == 1

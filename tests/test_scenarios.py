@@ -299,6 +299,38 @@ def test_csma_rejects_saturated_collision():
         csma_success_profile(hier)
 
 
+def test_collision_model_saturates_at_one():
+    # an attempt probability q >= 1 collides with certainty
+    assert default_collision_model(2, 1.0) == 1.0
+    assert default_collision_model(3, 0.5, CollisionParams(backoff_factor=4.0)) == 1.0
+
+
+def _hierarchy(**change):
+    return ClusterHierarchy(**{"areas": (1.0,), "H": 1, "nodes": ((2,),), "lambda1": (0.1,),
+                               **change})
+
+
+def _all_but_an_ulp(m_nodes, load):
+    return float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: default_collision_model(0, 0.1), "m_nodes must be >= 1"),
+    (lambda: default_collision_model(2, -0.1), "load must be >= 0"),
+    (lambda: _hierarchy(areas=(), nodes=()), "need at least one area and one layer"),
+    (lambda: _hierarchy(H=0, nodes=((),)), "need at least one area and one layer"),
+    (lambda: _hierarchy(areas=(1.5, -0.5), nodes=((2,), (2,)), lambda1=(0.1, 0.1)),
+     "area measures must be positive"),
+    # each layer passes 2^-53 of the traffic: 25 layers underflow to zero
+    (lambda: csma_success_profile(_hierarchy(H=25, nodes=((1,) * 25,),
+                                             collision_model=_all_but_an_ulp)),
+     "no traffic survives the hierarchy"),
+], ids=["no-nodes", "negative-load", "no-area", "no-layer", "negative-area", "no-traffic"])
+def test_each_scenarios_guard_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cluster_hierarchy_validation():
     with pytest.raises(ValueError):
         ClusterHierarchy(areas=(0.5, 0.4), H=1, nodes=((2,), (2,)), lambda1=(0.1, 0.1))

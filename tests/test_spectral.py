@@ -322,6 +322,46 @@ def test_gram_sums_average_to_the_density_fourier_coefficients(dist, f_hat, n, s
     assert np.abs(z).max() <= norm.ppf(1 - 1e-3 / (2 * z.size))
 
 
+def _psd_floor(tmp_path, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-1e-3, 1.0]))
+    gram_eigenvalues(build_vandermonde(uniform_distribution(1), 2, 2, seed=0))
+
+
+def _load_list(tmp_path, monkeypatch):
+    (tmp_path / "tab.json").write_text("[1, 2]")
+    EtaUTable.load(str(tmp_path / "tab.json"))
+
+
+ONE_NODE_TABLE = EtaUTable(d=1, n=8, trials=2, seed=0, beta_grid=np.array([0.5]),
+                           gamma_grid=np.array([2.0]), values=np.array([[0.4]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp, mp: build_vandermonde(uniform_distribution(1), 0, 4, seed=0), ValueError,
+     "n and m must be >= 1"),
+    (lambda tmp, mp: build_vandermonde(dataclasses.replace(
+        uniform_distribution(2), sampler=lambda seed, m: np.zeros((m, 1))), 2, 4, seed=0),
+     ValueError, r"returned shape \(4, 1\), wanted \(4, 2\)"),
+    (_psd_floor, RuntimeError, "eigenvalue -0.001 below PSD tolerance"),
+    (_load_list, ValueError, "not a JSON object"),
+    (lambda tmp, mp: eta_u_table(1, [4, 0], [2.0], n=4, trials=1, seed=0), ValueError,
+     "need every m >= 1 and every gamma > 0"),
+    (lambda tmp, mp: eta_u_table(1, [4], [0.0, 2.0], n=4, trials=1, seed=0), ValueError,
+     "need every m >= 1 and every gamma > 0"),
+    (lambda tmp, mp: eta_mixture(uniform_distribution(2), 0.5, 2.0, ONE_NODE_TABLE), ValueError,
+     "eta_u table has d=1, mixture needs d=2"),
+], ids=["n-zero", "sampler-shape", "psd-floor", "table-not-object", "table-m-zero",
+        "table-gamma-zero", "mixture-d"])
+def test_each_spectral_guard_names_its_fault(tmp_path, monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path, monkeypatch)
+
+
+def test_uniform_distribution_refuses_d_below_one():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        uniform_distribution(0)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -350,7 +390,7 @@ def test_aesd_rejects_negative_threads_before_any_trial(threads):
     assert not drawn
     # None and 0 still mean all cores
     for ok in (None, 0):
-        assert aesd(uniform_distribution(1), 4, 4, trials=2, seed=0, threads=ok).trials == 2
+        assert aesd(uniform_distribution(1), 4, 4, trials=2, seed=0, threads=ok).rows.shape[0] == 2
 
 
 @pytest.mark.parametrize("call", ["aesd", "mse_monte_carlo", "eta_u_table"])
@@ -381,27 +421,54 @@ SPLIT_TRIALS = [np.array([1e-6, 1e-3, 1.0]), np.array([1e-4, 0.5, 100.0])]
 
 
 def test_atom_and_histogram_split_one_mask():
-    s = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3)
+    s = summarize_eigenvalues(SPLIT_TRIALS, 3)
     edges, density = histogram(s, 4)
     positives = np.concatenate([lam[lam >= ATOM_TOL_REL * lam[-1]] for lam in SPLIT_TRIALS])
     total = sum(lam.size for lam in SPLIT_TRIALS)
     assert positives.size == 4
     assert s.atom_zero_mass == (total - positives.size) / total
-    assert np.array_equal(np.sort(positives), s.eigenvalues[~s.atom])
+    assert np.array_equal(np.sort(positives), np.sort(s.rows[~s.atom]))
     counts, _ = np.histogram(positives, bins=edges)
     assert counts.sum() == positives.size
     assert np.allclose(density * np.diff(edges), counts / total, rtol=1e-12)
 
 
 def test_transform_keeps_the_base_atom_mask():
-    base = summarize_eigenvalues(SPLIT_TRIALS, 3, 1, 3)
+    base = summarize_eigenvalues(SPLIT_TRIALS, 3)
     t = transform_scaled_lsd(base, 0.5, 2.0)
     edges, density = histogram(t, 4)
     assert np.array_equal(t.atom, base.atom)
-    counts, _ = np.histogram(t.eigenvalues[~t.atom], bins=edges)
+    counts, _ = np.histogram(np.sort(t.rows[~t.atom]), bins=edges)
     assert counts.sum() == np.count_nonzero(~base.atom) == 4
     assert np.sum(density * np.diff(edges)) == pytest.approx(
         1 - t.total_atom_mass, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda trials: st.lists(
+           st.lists(st.floats(0.0, 1e6) | st.just(0.0), min_size=1, max_size=8),
+           min_size=trials, max_size=trials)),
+       st.integers(1, 20))
+def test_every_trial_gives_a_bulk_sample(trials, bins):
+    # a row's largest eigenvalue is never below ATOM_TOL_REL times itself, so
+    # the bulk that histogram draws holds at least one sample per trial
+    width = max(len(row) for row in trials)
+    rows = np.sort(np.array([row + [row[-1]] * (width - len(row)) for row in trials]), axis=1)
+    s = SpectrumSummary(rows, 3)
+    assert not s.atom[:, -1].any()
+    bulk = s.rows[~s.atom]
+    assert bulk.size >= rows.shape[0]
+    edges, density = histogram(s, bins)
+    assert np.histogram(bulk, bins=edges)[0].sum() == bulk.size
+    assert np.sum(density * np.diff(edges)) == pytest.approx(1 - s.total_atom_mass, rel=1e-9)
+
+
+def test_histogram_caps_an_exploding_freedman_diaconis_rule():
+    # 10,000 samples in [1, 2] and one at 1,000: FD asks for about 21,500 bins
+    rows = np.sort(np.append(np.random.default_rng(0).uniform(1.0, 2.0, 10_000), 1e3))[None]
+    edges, density = histogram(SpectrumSummary(rows, 3))
+    assert len(edges) == 257
+    assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_aesd_hole_atom_mass():
@@ -417,7 +484,7 @@ def test_aesd_hole_atom_mass():
 def test_empirical_eta_at_zero_and_ones():
     s = aesd(uniform_distribution(1), 16, 20, trials=2, seed=1)
     assert empirical_eta(s, 0.0) == 1.0
-    fake = s.__class__(**{**s.__dict__, "eigenvalues": np.ones(10)})
+    fake = dataclasses.replace(s, rows=np.ones((1, 10)))
     assert empirical_eta(fake, 1.0) == pytest.approx(0.5)
 
 
@@ -447,7 +514,7 @@ def test_empirical_eta_temporary_is_bounded():
     # the largest desk table node pools 51,200 eigenvalues (n^d = 1,024, 50
     # trials) and reads 40 gamma nodes: one 40-row temporary peaked at 16.4 MB
     lam = np.sort(np.random.default_rng(0).random(51_200) * 4.0)
-    s = SpectrumSummary(lam, 50, 32, 2, 1280, np.zeros(lam.size, dtype=bool))
+    s = SpectrumSummary(lam.reshape(50, 1024), 1280)
     gammas = np.geomspace(1e-3, 1e4, 40)
     tracemalloc.start()
     try:
