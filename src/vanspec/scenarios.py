@@ -135,11 +135,16 @@ def hole_distribution(c: float, d: int = 1) -> SamplingDistribution:
 
 @dataclass(frozen=True)
 class CollisionParams:
-    """Parameters of the built-in slotted-CSMA collision closed form."""
+    """Parameters of the built-in slotted-CSMA collision closed form, each finite and >= 0."""
 
     slot_duration: float = 1.0
     backoff_factor: float = 1.0
     vulnerability_slots: float = 2.0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def default_collision_model(
@@ -158,8 +163,6 @@ def default_collision_model(
     if m_nodes == 1 or load_per_node == 0:
         return 0.0
     q = min(1.0, load_per_node * params.slot_duration * params.backoff_factor)
-    if q >= 1.0:
-        return 1.0
     return 1.0 - (1.0 - q) ** (params.vulnerability_slots * (m_nodes - 1))
 
 

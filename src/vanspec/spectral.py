@@ -32,8 +32,6 @@ ATOM_TOL_REL = 1e-4
 EIG_TOL_REL = 1e-8
 # Desk-scale cap on the Gram size n^d.
 NDIM_CAP = 1024
-# Entries of empirical_eta's temporary: 1 MiB of float64.
-ETA_BLOCK = 2 ** 17
 
 
 def _run_trials(worker: Callable[[np.random.SeedSequence], object], trials: int, seed: int,
@@ -224,12 +222,6 @@ class SpectrumSummary:
     def beta(self) -> float:
         return self.rows.shape[1] / self.m
 
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """The pooled samples, ascending; their order fixes the float sums of
-        the expectations."""
-        return np.sort(self.rows, axis=None)
-
     @property
     def atom(self) -> np.ndarray:
         """Per sample, in the layout of rows: below ATOM_TOL_REL x its own
@@ -250,9 +242,17 @@ def histogram(summary: SpectrumSummary, bins="auto") -> tuple[np.ndarray, np.nda
     """Edges and density of the summary's bulk, the samples outside its atom;
     the density integrates to 1 - total_atom_mass.  Each trial's largest
     eigenvalue is in the bulk, so the bulk is never empty.  bins is a count
-    or "auto" (Freedman-Diaconis, capped at 256 bins when it explodes)."""
+    or "auto" (Freedman-Diaconis, capped at 256 bins when it explodes).  A
+    bulk too narrow for finite-sized bins is binned over [lo - 0.5, hi + 0.5],
+    as numpy bins a zero-width one, and "auto" then takes 256 bins."""
     positives = summary.rows[~summary.atom]
-    edges = np.histogram_bin_edges(positives, bins="fd" if bins == "auto" else bins)
+    try:
+        edges = np.histogram_bin_edges(positives, bins="fd" if bins == "auto" else bins)
+    except ValueError as exc:  # a bulk a few ulps wide
+        if "finite-sized" not in str(exc):
+            raise
+        edges = np.histogram_bin_edges(positives, bins=256 if bins == "auto" else bins,
+                                       range=(positives.min() - 0.5, positives.max() + 0.5))
     if len(edges) > 2048:  # FD can explode on heavy tails
         edges = np.histogram_bin_edges(positives, bins=256)
     dens, edges = np.histogram(positives, bins=edges, density=True)
@@ -281,24 +281,19 @@ def aesd(
 
 def empirical_eta(summary: SpectrumSummary, gamma: float | np.ndarray) -> float | np.ndarray:
     """eta(gamma) = E[1/(gamma*lambda + 1)] over the summarized spectrum: a
-    float for a scalar gamma, an array of the same shape for an array."""
+    float for a scalar gamma, an array of the same shape for an array.  Each
+    gamma is one mean over the rows, so the temporary is rows-sized."""
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be >= 0")
-    lam, flat = summary.eigenvalues, g.reshape(-1)
-    core = np.empty(flat.shape)
-    rows = max(1, ETA_BLOCK // max(1, lam.size))  # gamma rows per temporary
-    for i in range(0, flat.size, rows):
-        block = np.multiply.outer(flat[i:i + rows], lam)
-        block += 1.0
-        core[i:i + rows] = np.divide(1.0, block, out=block).mean(axis=-1)
+    core = np.array([np.mean(1.0 / (x * summary.rows + 1.0)) for x in g.reshape(-1)])
     eta = summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * core.reshape(g.shape)
     return float(eta) if g.ndim == 0 else eta
 
 
 def empirical_moment(summary: SpectrumSummary, p: int) -> float:
     """p-th empirical moment (normalized trace of (V V^H)^p)."""
-    core = float(np.mean(summary.eigenvalues ** p))
+    core = float(np.mean(summary.rows ** p))
     return (1.0 - summary.extra_zero_mass) * core
 
 
@@ -349,17 +344,17 @@ def compare_scaled_aesd(
     (asymptotically part of the atom) from the bulk: everything below half
     the transformed reference's smallest positive sample is atom-side.
     """
-    # each summary's pooled atom/positive split point
-    direct_cut, ref_cut = (ATOM_TOL_REL * float(s.eigenvalues[-1]) for s in (direct, transformed))
-    ref_pos = transformed.eigenvalues[transformed.eigenvalues >= ref_cut]
+    # each summary's atom/positive split point, from its largest sample
+    direct_cut, ref_cut = (ATOM_TOL_REL * float(s.rows.max()) for s in (direct, transformed))
+    ref_pos = transformed.rows[transformed.rows >= ref_cut]
     cut = max(direct_cut, ref_cut, 0.5 * float(ref_pos.min()))
 
     def atom_at(summary: SpectrumSummary, cut: float) -> float:
-        below = float(np.mean(summary.eigenvalues < cut))
+        below = float(np.mean(summary.rows < cut))
         return summary.extra_zero_mass + (1.0 - summary.extra_zero_mass) * below
 
-    d_pos = direct.eigenvalues[direct.eigenvalues >= cut]
-    t_pos = transformed.eigenvalues[transformed.eigenvalues >= cut]
+    d_pos = direct.rows[direct.rows >= cut]
+    t_pos = transformed.rows[transformed.rows >= cut]
     return ScaledLsdComparison(
         ks_distance=_ks_distance(d_pos, t_pos),
         atom_direct=atom_at(direct, cut),

@@ -13,6 +13,7 @@ from typing import Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#e377c2", "#7f7f7f", "#bcbd22")
+WIDTH, HEIGHT = 640, 440  # pixels
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,9 @@ def line_plot_svg(
     xlabel: str = "",
     ylabel: str = "",
     logy: bool = False,
-    width: int = 640,
-    height: int = 440,
 ) -> str:
     ml, mr, mt, mb = 62, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     xs = [v for s in series for v in s.x]
     ys = [v for s in series for v in s.y if not logy or v > 0]
@@ -92,14 +91,14 @@ def line_plot_svg(
         return mt + ph - (v - ylo) / (yhi - ylo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="{mt - 12}" text-anchor="middle" font-size="13">{title}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="{mt - 12}" text-anchor="middle" font-size="13">{title}</text>'
         )
     for t in _nice_ticks(xlo, xhi):
         if xlo <= t <= xhi:
@@ -114,7 +113,7 @@ def line_plot_svg(
             parts.append(f'<text x="{ml - 7}" y="{py + 3:.2f}" text-anchor="end">{_fmt(t)}</text>')
     if xlabel:
         parts.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         parts.append(

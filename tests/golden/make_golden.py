@@ -8,18 +8,22 @@ its '#' metadata and its CSV cells, as written, in tests/golden/<name>.json.
 A case whose argv ends in --svg also stores its plot: the points of each
 polyline, and the rest of the SVG text with those points cut out.
 Regenerate only when an output is meant to change (name the cases to
-regenerate just those), and say which in the change log.
+regenerate just those), and say which in the change log.  For each case it
+rewrites, it prints how many metadata values, cells and plot coordinates
+moved against the file it replaces, and the largest relative move.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
@@ -105,13 +109,44 @@ def _dumps(golden: dict) -> str:
             f' "header": {json.dumps(golden["header"])},\n "rows": [\n{rows}\n ]{svg}\n}}\n')
 
 
+def _moves(old: dict, new: dict) -> str:
+    """How many metadata values, CSV cells and plot coordinates differ
+    between two goldens, and the largest relative change among the numbers
+    that moved (inf for a number that left zero)."""
+    keys = sorted(old["meta"].keys() | new["meta"].keys())
+
+    def values(golden: dict) -> dict:
+        return {"metadata values": [golden["meta"].get(k) for k in keys],
+                "cells": [cell for row in golden["rows"] for cell in row],
+                "plot coordinates": [v for line in golden.get("svg", {}).get("points", [])
+                                     for point in line for v in point]}
+
+    before, after = values(old), values(new)
+    counts, worst = [], 0.0
+    for what in before:
+        moved = [(a, b) for a, b in zip_longest(before[what], after[what]) if a != b]
+        counts.append(f"{len(moved)} {what}")
+        for a, b in moved:
+            try:
+                a, b = float(a), float(b)
+            except (TypeError, ValueError):  # text, or a value on one side only
+                continue
+            worst = max(worst, abs(b - a) / abs(a) if a else math.inf)
+    return f"changed {', '.join(counts)}; largest relative change {worst:.3g}"
+
+
 def main(names: list[str]) -> int:
     for name in names or CASES:
         argv = GLOBAL + CASES[name]
         golden = {"argv": argv, **run_case(argv)}
-        with open(os.path.join(HERE, f"{name}.json"), "w", encoding="utf-8") as fh:
+        path = os.path.join(HERE, f"{name}.json")
+        moves = "new file"
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                moves = _moves(json.load(fh), golden)
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(_dumps(golden))
-        print(f"{name}: {len(golden['rows'])} rows")
+        print(f"{name}: {len(golden['rows'])} rows; {moves}")
     return 0
 
 

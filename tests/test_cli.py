@@ -85,6 +85,18 @@ def test_spectrum_metadata_and_mass(tmp_path):
     assert atom + mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_spectrum_bins_a_bulk_a_few_ulps_wide(tmp_path):
+    # m = 1: each trial's bulk is its one eigenvalue, 3 up to rounding, too
+    # narrow a range for numpy to cut into 17 finite-sized bins
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--dist", "uniform", "--n", "3", "--d", "1", "--beta", "3",
+                 "--trials", "6", "--bins", "17", "--out", str(out)]) == 0
+    meta, _, rows = read_rows(str(out))
+    assert len(rows) == 17
+    mass = sum((float(r[1]) - float(r[0])) * float(r[2]) for r in rows)
+    assert mass == pytest.approx(1.0 - float(meta["atom_zero_mass"]), rel=1e-9)
+
+
 def test_mse_command(tmp_path):
     out = tmp_path / "mse.csv"
     rc = main(["--seed", "3", "mse", "--dist", "uniform", "--n", "16", "--d", "1",
@@ -211,6 +223,15 @@ def test_inline_integer_d_still_runs(tmp_path):
     # inline items parse as floats; d=2 is the integer 2
     assert _moments_bytes(tmp_path, "d2", "hole:c=0.8,d=2", 2) == _moments_bytes(
         tmp_path, "plain", "hole:c=0.8", 2)
+
+
+def test_negative_vulnerability_window_is_usage_error(tmp_path, capsys):
+    # at saturation (q = 1) the closed form would divide zero by a negative power
+    cfg = _with(_quadrant_config([1.0] * 4),
+                collision={"type": "default", "params": {"vulnerability_slots": -1}})
+    assert _main_with_files(tmp_path, ["scenario", "csma", "--config", cfg]) == 2
+    assert "vulnerability_slots must be finite and >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_csma_collision_that_is_not_an_object_is_usage_error(tmp_path, capsys):

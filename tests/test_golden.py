@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from golden.make_golden import CASES, GLOBAL, HERE, run_case
+from golden.make_golden import CASES, GLOBAL, HERE, _moves, run_case
 
 REL = 1e-9
 # Pixel coordinates are written with two decimals, so a last-bit move of a
@@ -38,6 +38,19 @@ def test_same_float_rule():
     assert _same("1.0", str(1.0 + 5e-10)) and not _same("1.0", str(1.0 + 2e-9))
     assert not _same("0.0", "1e-300") and not _same("3", "3.0")
     assert _same("nan", "nan") and not _same("true", "false")
+
+
+def test_moves_reports_what_a_rewrite_changes():
+    old = {"meta": {"seed": "42", "hash": "ab"}, "rows": [["1", "0.5"], ["2", "2e-16"]],
+           "svg": {"points": [[[1.0, 2.0]]]}}
+    new = {"meta": {"seed": "42", "hash": "cd"}, "rows": [["1", "0.75"], ["2", "2e-16"]],
+           "svg": {"points": [[[1.0, 2.5]]]}}
+    assert _moves(old, old) == ("changed 0 metadata values, 0 cells, 0 plot coordinates; "
+                                "largest relative change 0")
+    assert _moves(old, new) == ("changed 1 metadata values, 1 cells, 1 plot coordinates; "
+                                "largest relative change 0.5")
+    new["rows"][1][1] = "0.0"
+    assert _moves(new, old).endswith("largest relative change inf")
 
 
 def test_every_case_has_a_golden_file():

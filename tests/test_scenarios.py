@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -305,6 +307,12 @@ def test_collision_model_saturates_at_one():
     assert default_collision_model(3, 0.5, CollisionParams(backoff_factor=4.0)) == 1.0
 
 
+def test_zero_width_window_never_collides():
+    # with no vulnerability window no contender can collide, at any load
+    params = CollisionParams(vulnerability_slots=0.0)
+    assert [default_collision_model(3, q, params) for q in (0.5, 1.0, 4.0)] == [0.0] * 3
+
+
 def _hierarchy(**change):
     return ClusterHierarchy(**{"areas": (1.0,), "H": 1, "nodes": ((2,),), "lambda1": (0.1,),
                                **change})
@@ -325,7 +333,12 @@ def _all_but_an_ulp(m_nodes, load):
     (lambda: csma_success_profile(_hierarchy(H=25, nodes=((1,) * 25,),
                                              collision_model=_all_but_an_ulp)),
      "no traffic survives the hierarchy"),
-], ids=["no-nodes", "negative-load", "no-area", "no-layer", "negative-area", "no-traffic"])
+    (lambda: CollisionParams(slot_duration=-1.0), "slot_duration must be finite and >= 0"),
+    (lambda: CollisionParams(backoff_factor=math.inf), "backoff_factor must be finite and >= 0"),
+    (lambda: CollisionParams(vulnerability_slots=math.nan),
+     "vulnerability_slots must be finite and >= 0"),
+], ids=["no-nodes", "negative-load", "no-area", "no-layer", "negative-area", "no-traffic",
+        "negative-slot", "infinite-backoff", "nan-window"])
 def test_each_scenarios_guard_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -371,7 +372,7 @@ def test_aesd_determinism():
     dist = uniform_distribution(1)
     s1 = aesd(dist, 16, 20, trials=3, seed=11)
     s2 = aesd(dist, 16, 20, trials=3, seed=11)
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+    assert np.array_equal(s1.rows, s2.rows)
     assert s1.atom_zero_mass == s2.atom_zero_mass
 
 
@@ -379,7 +380,7 @@ def test_aesd_thread_count_invariance():
     dist = uniform_distribution(1)
     s1 = aesd(dist, 16, 20, trials=4, seed=11, threads=1)
     s2 = aesd(dist, 16, 20, trials=4, seed=11, threads=4)
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+    assert np.array_equal(s1.rows, s2.rows)
 
 
 @pytest.mark.parametrize("threads", [-1, -3])
@@ -445,15 +446,21 @@ def test_transform_keeps_the_base_atom_mask():
         1 - t.total_atom_mass, rel=1e-12)
 
 
+# 3 and the next three floats, 16 each: too narrow for 17 bins or for FD's 6
+A_FEW_ULPS = np.repeat(3.0 + np.spacing(3.0) * np.arange(4), 16)[None]
+
+
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
-              elements=st.integers(0, 10 ** 6).map(float)),
-       st.integers(1, 20))
+              elements=st.just(0.0) | st.floats(1e-12, 1e6)),
+       st.integers(1, 20) | st.just("auto"))
+@example(A_FEW_ULPS, 17)
+@example(A_FEW_ULPS, "auto")
 def test_every_trial_gives_a_bulk_sample(rows, bins):
     # a row's largest eigenvalue is never below ATOM_TOL_REL times itself, so
-    # the bulk that histogram draws holds at least one sample per trial.
-    # Whole numbers keep numpy's bins finite-sized (a bulk that spans a few
-    # ulps cannot be cut into 20 bins).
+    # the bulk that histogram draws holds at least one sample per trial.  The
+    # nonzero samples stay far above the smallest normal float, so that a
+    # bin's density stays finite.
     s = SpectrumSummary(np.sort(rows, axis=1), 3)
     assert not s.atom[:, -1].any()
     bulk = s.rows[~s.atom]
@@ -526,6 +533,21 @@ def test_empirical_eta_temporary_is_bounded():
     assert np.array_equal(eta, [empirical_eta(s, float(g)) for g in gammas])
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 64)),
+              elements=st.floats(0, 1e6)),
+       st.floats(0, 1e6), st.integers(1, 7))
+def test_expectations_sum_the_rows_within_a_log_n_bound(rows, gamma, p):
+    # nonnegative terms in any summation order: within (log2 N + 2) eps of
+    # the correctly rounded mean of the same per-sample terms
+    s = SpectrumSummary(np.sort(rows, axis=1), 3)
+    tol = (math.log2(rows.size) + 2) * np.finfo(float).eps
+    for got, terms in ((empirical_eta(s, gamma), 1.0 / (gamma * s.rows + 1.0)),
+                       (empirical_moment(s, p), s.rows ** p)):
+        want = math.fsum(terms.ravel()) / terms.size
+        assert abs(got - want) <= tol * want
+
+
 def test_empirical_eta_regression_baseline():
     # frozen value for the default-seed uniform summary (n=100, beta=0.8);
     # guards the whole sampling -> spectrum -> eta pipeline
@@ -558,7 +580,7 @@ def test_transform_mass_accounting():
     base = aesd(uniform_distribution(1), 50, int(round(50 / (c * beta))), trials=4, seed=3)
     t = transform_scaled_lsd(base, c, beta)
     assert t.extra_zero_mass == pytest.approx(1 - c)
-    assert np.allclose(t.eigenvalues, base.eigenvalues / c)
+    assert np.allclose(t.rows, base.rows / c)
     edges, density = histogram(t)
     assert np.sum(density * np.diff(edges)) == pytest.approx(1 - t.total_atom_mass, rel=1e-9)
     # eta of the transform follows the scaling law
