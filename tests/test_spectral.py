@@ -538,8 +538,8 @@ def test_empirical_eta_temporary_is_bounded():
               elements=st.floats(0, 1e6)),
        st.floats(0, 1e6), st.integers(1, 7))
 def test_expectations_sum_the_rows_within_a_log_n_bound(rows, gamma, p):
-    # nonnegative terms in any summation order: within (log2 N + 2) eps of
-    # the correctly rounded mean of the same per-sample terms
+    # nonnegative terms in numpy's summation order: within (log2 N + 2) eps
+    # of the mean of the correctly rounded (fsum) sum of the same terms
     s = SpectrumSummary(np.sort(rows, axis=1), 3)
     tol = (math.log2(rows.size) + 2) * np.finfo(float).eps
     for got, terms in ((empirical_eta(s, gamma), 1.0 / (gamma * s.rows + 1.0)),
