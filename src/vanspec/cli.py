@@ -10,6 +10,7 @@ linear internally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -30,7 +31,6 @@ from .scenarios import (
     CollisionParams,
     csma_success_profile,
     db_to_linear,
-    default_collision_model,
     fading_distribution,
     fading_gx,
     hole_distribution,
@@ -195,18 +195,24 @@ def as_integer(key: str, value) -> int:
     return value
 
 
+def as_number(key: str, value) -> float:
+    """value, a JSON number, as a float; a bool or a string is a usage error naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_hierarchy(payload: dict) -> ClusterHierarchy:
     try:
         collision_cfg = payload.get("collision", {"type": "default"})
         if collision_cfg.get("type", "default") != "default":
             raise UsageError(f"unknown collision model {collision_cfg.get('type')!r}")
-        params = CollisionParams(**collision_cfg.get("params", {}))
         return ClusterHierarchy(
-            areas=tuple(float(a) for a in payload["areas"]),
+            areas=tuple(as_number("areas", a) for a in payload["areas"]),
             H=as_integer("H", payload["H"]),
             nodes=tuple(tuple(as_integer("m", v) for v in row) for row in payload["m"]),
-            lambda1=tuple(float(v) for v in payload["lambda1"]),
-            collision_model=functools.partial(default_collision_model, params=params),
+            lambda1=tuple(as_number("lambda1", v) for v in payload["lambda1"]),
+            collision=CollisionParams(**collision_cfg.get("params", {})),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad hierarchy config: {exc}")
@@ -236,11 +242,11 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
         elif kind == "hole":
             if "c" not in payload:
                 raise UsageError("hole distribution needs c")
-            dist = hole_distribution(float(payload["c"]), d=dist_d)
+            dist = hole_distribution(as_number("c", payload["c"]), d=dist_d)
         elif kind == "fading":
             if "a_db" not in payload:
                 raise UsageError("fading distribution needs a_db")
-            dist = fading_distribution(float(payload["a_db"]))
+            dist = fading_distribution(as_number("a_db", payload["a_db"]))
         elif kind == "csma":
             hier_payload = payload.get("hierarchy")
             if hier_payload is None and "config" in payload:
@@ -473,21 +479,17 @@ def cmd_scenario_csma(args) -> int:
     else:
         hier = from_factory(quadrant_hierarchy, parse_float_list(args.lambda1))
     prof = from_factory(csma_success_profile, hier)
-    dist = prof.distribution
     betas = check_betas(parse_float_list(args.beta))
     gammas_db = parse_db_grid(args.gamma_db)
-    curves = (("fu", uniform_distribution(2)), ("fx", dist))
+    curves = (("fu", uniform_distribution(2)), ("fx", prof.distribution))
     eta, eta_meta = mixture_eta_table(args, [c for _, c in curves], betas, gammas_db)
     rows = []
     for gdb in gammas_db:
         gamma = db_to_linear(gdb)
         for beta in betas:
             rows += [(name, gdb, beta, asymptotic_mse(c, beta, gamma, eta)) for name, c in curves]
-    config = {
-        "areas": list(hier.areas), "H": hier.H, "m": [list(r) for r in hier.nodes],
-        "lambda1": list(hier.lambda1), "beta": betas, "gamma_db": gammas_db, "n": args.n,
-        "table_trials": args.table_trials,
-    }
+    config = {**dataclasses.asdict(hier), "beta": betas, "gamma_db": gammas_db, "n": args.n,
+              "table_trials": args.table_trials}
     p_s = {f"p_s_{i + 1}": float(p) for i, p in enumerate(prof.normalized_success)}
     write_table(args.out, "scenario-csma", config, args.seed,
                 ["curve", "gamma_db", "beta", "mse"], rows, **p_s, **eta_meta)

@@ -62,8 +62,8 @@ def lmmse(V: DFoldVandermonde, a: np.ndarray, p: np.ndarray, sigma_n2: float) ->
     The estimate solves B a = rhs with B = sigma_n^-2 beta^-1 V V^H + I, and
     B^-1, the error covariance, gives trace_mse independently of any
     eigendecomposition.  V V^H is the Toeplitz Gram that the spectra use,
-    and B is solved as its real twin B_R = S^H B S (see gram_twin, read from
-    V.lmmse_twin so that every SNR on one V shares it): one real LU solve of
+    and B is solved as its real twin B_R = S^H B S (see V.twin, built once
+    and shared by every SNR on one V): one real LU solve of
     B_R X = [Re y | Im y | I] with y = sqrt(2) S^H rhs = rhs - i J rhs, so
     a = S B_R^-1 S^H rhs = (z + i J z) / 2 with z = X_0 + i X_1, and
     tr B^-1 = tr B_R^-1.  The realized error |a - a_hat|^2 / n^d is
@@ -74,7 +74,7 @@ def lmmse(V: DFoldVandermonde, a: np.ndarray, p: np.ndarray, sigma_n2: float) ->
     nd = V.n ** V.d
     beta = V.beta
 
-    B_R = (1.0 / (sigma_n2 * beta)) * V.lmmse_twin + np.eye(nd)
+    B_R = (1.0 / (sigma_n2 * beta)) * V.twin + np.eye(nd)
     rhs = (1.0 / (sigma_n2 * np.sqrt(beta))) * V.matvec(p)
     y = rhs - 1j * rhs[::-1]
     X = np.linalg.solve(B_R, np.column_stack([y.real, y.imag, np.eye(nd)]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,11 @@ def db_to_linear(x_db: float) -> float:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
         return math.inf
+
+
+def _id_number(x: float) -> str:
+    """The shortest text that reads back as x, without a trailing ".0"."""
+    return repr(float(x)).removesuffix(".0")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,7 @@ def fading_distribution(a_db: float) -> SamplingDistribution:
         support_measure=1.0,
         sampler=sampler,
         gx=fading_gx(a),
-        id=f"fading-a{a_db:g}dB",
+        id=f"fading-a{_id_number(a_db)}dB",
     )
 
 
@@ -125,7 +130,7 @@ def hole_distribution(c: float, d: int = 1) -> SamplingDistribution:
         support_measure=c,
         sampler=sampler,
         gx=GxDiscreteAtoms(atoms=((1.0 / c, c),)),
-        id=f"hole-c{c:g}-d{d}",
+        id=f"hole-c{_id_number(c)}-d{d}",
     )
 
 
@@ -143,8 +148,11 @@ class CollisionParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))  # 2 and 2.0 record alike
 
 
 def default_collision_model(
@@ -166,23 +174,20 @@ def default_collision_model(
     return 1.0 - (1.0 - q) ** (params.vulnerability_slots * (m_nodes - 1))
 
 
-CollisionModel = Callable[[int, float], float]
-
-
 @dataclass(frozen=True)
 class ClusterHierarchy:
     """Cluster tree over L load areas and H layers.
 
     nodes[i][h] is the mean cluster population at layer h+1 in area i;
-    lambda1[i] the per-node offered load at layer 1.  collision_model maps
-    (m_nodes, load) to a collision probability in [0, 1).
+    lambda1[i] the per-node offered load at layer 1; collision the
+    parameters of default_collision_model at every cluster.
     """
 
     areas: tuple[float, ...]
     H: int
     nodes: tuple[tuple[int, ...], ...]
     lambda1: tuple[float, ...]
-    collision_model: CollisionModel = default_collision_model
+    collision: CollisionParams = CollisionParams()
 
     def __post_init__(self):
         L = len(self.areas)
@@ -231,7 +236,7 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
         lam = hier.lambda1[i]
         for h in range(H):
             loads[i, h] = lam
-            p = float(hier.collision_model(hier.nodes[i][h], lam))
+            p = float(default_collision_model(hier.nodes[i][h], lam, hier.collision))
             if not 0.0 <= p < 1.0:
                 raise ValueError(
                     f"collision model returned P_c={p} at area {i + 1}, layer {h + 1}"
@@ -288,7 +293,7 @@ def csma_success_profile(hier: ClusterHierarchy) -> CsmaProfile:
 
 def quadrant_hierarchy(lambda1: Sequence[float]) -> ClusterHierarchy:
     """Four equal areas, each with three layers of clusters of 10, 6 and 4
-    nodes, and the default collision model."""
+    nodes, and the default collision parameters."""
     if len(lambda1) != 4:
         raise ValueError("quadrant hierarchy needs 4 layer-1 loads")
     return ClusterHierarchy(

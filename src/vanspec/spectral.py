@@ -119,13 +119,23 @@ class DFoldVandermonde:
         return _powers(-(-n // b), b, x[-1]), _khatri_rao(fine)
 
     @functools.cached_property
-    def lmmse_twin(self) -> np.ndarray:
-        """gram_twin(self), kept for the LMMSE solves that share it, one per
-        SNR.  The spectra call gram_twin directly, so that their twin is
-        freed with the eigensolve rather than with V."""
-        return gram_twin(self)
+    def twin(self) -> np.ndarray:
+        """Re G - (Im G) J, the real symmetric matrix S^H G S of G = V V^H,
+        built once: the eigensolve and every LMMSE solve on V read it.
 
-    def _box_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        J reverses the flat index (l -> n - 1 - l) and S = (I + iJ)/sqrt(2) is
+        unitary.  J G J = conj G for every d, so S^H G S = Re G + i (G J - J G)/2
+        = Re G - (Im G) J is real, with G's eigenvalues (A. Lee, Linear Algebra
+        Appl. 29, 1980).  Entry (l, l') is Re c(l - l') - Im c(l + l' - (n-1)):
+        the Toeplitz view of Re c minus, with l' reversed, the Hankel view of
+        Im c.  Neither is copied, and both triangles read one c, so the twin is
+        exactly symmetric.
+        """
+        T, flip = _gram_view(self), (Ellipsis,) + (slice(None, None, -1),) * self.d
+        return np.subtract(T.real, T.imag[flip], order="C").reshape(self.n ** self.d, -1)
+
+    @functools.cached_property
+    def box_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """power_tables with j_a in [0, n) for a < d: V's own rows."""
         (coarse, fine), n, d = self.power_tables, self.n, self.d
         box = (slice(None),) + (slice(n - 1, None),) * (d - 1)
@@ -133,12 +143,12 @@ class DFoldVandermonde:
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         """V p, rows ordered by nu(l)."""
-        coarse, fine = self._box_tables()
+        coarse, fine = self.box_tables
         return ((coarse * p) @ fine.T).ravel()[: self.n ** self.d] / np.sqrt(self.m)
 
     def rmatvec(self, a: np.ndarray) -> np.ndarray:
         """V^H a, with a ordered by nu(l)."""
-        coarse, fine = self._box_tables()
+        coarse, fine = self.box_tables
         padded = np.zeros(coarse.shape[0] * fine.shape[0], dtype=complex)
         padded[: a.size] = np.conj(a)
         inner = padded.reshape(coarse.shape[0], -1) @ fine  # sum over the fine index
@@ -178,25 +188,10 @@ def _gram_view(V: DFoldVandermonde) -> np.ndarray:
                       strides=c.strides + tuple(-s for s in c.strides))
 
 
-def gram_twin(V: DFoldVandermonde) -> np.ndarray:
-    """Re G - (Im G) J, the real symmetric matrix S^H G S of G = V V^H.
-
-    J reverses the flat index (l -> n - 1 - l) and S = (I + iJ)/sqrt(2) is
-    unitary.  J G J = conj G for every d, so S^H G S = Re G + i (G J - J G)/2
-    = Re G - (Im G) J is real, with G's eigenvalues (A. Lee, Linear Algebra
-    Appl. 29, 1980).  Entry (l, l') is Re c(l - l') - Im c(l + l' - (n-1)):
-    the Toeplitz view of Re c minus, with l' reversed, the Hankel view of
-    Im c.  Neither is copied, and both triangles read one c, so the twin is
-    exactly symmetric.
-    """
-    T, flip = _gram_view(V), (Ellipsis,) + (slice(None, None, -1),) * V.d
-    return np.subtract(T.real, T.imag[flip], order="C").reshape(V.n ** V.d, V.n ** V.d)
-
-
 def gram_eigenvalues(V: DFoldVandermonde) -> np.ndarray:
     """Eigenvalues of V V^H, ascending, with tiny negatives clamped to zero;
-    solved in real arithmetic on the Gram's real twin."""
-    lam = np.linalg.eigvalsh(gram_twin(V))
+    solved in real arithmetic on the Gram's real twin V.twin."""
+    lam = np.linalg.eigvalsh(V.twin)
     floor = -EIG_TOL_REL * max(lam[-1], 1.0)
     if lam[0] < floor:
         raise RuntimeError(
@@ -484,36 +479,33 @@ class EtaUTable:
                 )
 
     def save(self, path: str) -> None:
-        payload = {
-            "d": self.d,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "beta_grid": self.beta_grid.tolist(),
-            "gamma_grid": self.gamma_grid.tolist(),
-            "values": self.values.tolist(),
-        }
+        """Write every field, in declaration order, as one JSON object."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            json.dump({k: v.tolist() if isinstance(v, np.ndarray) else v
+                       for k, v in vars(self).items()}, fh)
 
     @classmethod
     def load(cls, path: str) -> "EtaUTable":
         """Read a table written by save; ValueError names what is malformed:
         a missing key, a d, n, trials or seed that is not an integer, a grid
-        that is not strictly increasing and positive, a values shape other
-        than (len(beta_grid), len(gamma_grid)), or a value that is not
-        finite."""
+        or values entry that is not a number, a grid that is not strictly
+        increasing and positive, a values shape other than (len(beta_grid),
+        len(gamma_grid)), or a value that is not finite."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError("not a JSON object")
-        fields = ("d", "n", "trials", "seed", "beta_grid", "gamma_grid", "values")
+        fields = tuple(f.name for f in dataclasses.fields(cls))
         for key in fields:
             if key not in payload:
                 raise ValueError(f"missing key {key!r}")
         for key in fields[:4]:
             if not isinstance(payload[key], int) or isinstance(payload[key], bool):
                 raise ValueError(f"{key} must be an integer, got {payload[key]!r}")
+        for key in fields[4:]:  # a list entry is a ragged row: the float conversion refuses it
+            for v in np.ravel(np.array(payload[key], dtype=object)):
+                if isinstance(v, bool) or not isinstance(v, (int, float, list)):
+                    raise ValueError(f"{key} must hold numbers only, got {v!r}")
         table = cls(**{k: payload[k] for k in fields[:4]},
                     **{k: np.array(payload[k], dtype=float) for k in fields[4:]})
         for name, grid in (("beta_grid", table.beta_grid), ("gamma_grid", table.gamma_grid)):

@@ -71,8 +71,8 @@ def line_plot_svg(
 
     xs = [v for s in series for v in s.x]
     ys = [v for s in series for v in s.y if not logy or v > 0]
-    if not xs or not ys:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
+    if not xs or not ys:  # nothing to plot: an empty frame, one decade on a log axis
+        xs, ys = [0.0, 1.0], ([1.0, 10.0] if logy else [0.0, 1.0])
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if xhi == xlo:

@@ -91,7 +91,7 @@ def sampler_chi2_pvalue(
 
 def real_twin(G: np.ndarray) -> np.ndarray:
     """Re G - (Im G) J of a complex Gram G, J the flat-index reversal: the
-    reference for spectral.gram_twin, which builds it from c directly."""
+    reference for DFoldVandermonde.twin, which builds it from c directly."""
     return G.real - G.imag[:, ::-1]
 
 
@@ -182,7 +182,7 @@ def multi_indices(n: int, d: int) -> np.ndarray:
 def vandermonde_entries(V: DFoldVandermonde) -> np.ndarray:
     """V as an (n^d, m) array, rows ordered by nu(l): the Khatri-Rao
     product of the tables."""
-    coarse, fine = V._box_tables()
+    coarse, fine = V.box_tables
     return _khatri_rao([coarse, fine])[: V.n ** V.d] / np.sqrt(V.m)
 
 

@@ -225,6 +225,71 @@ def test_inline_integer_d_still_runs(tmp_path):
         tmp_path, "plain", "hole:c=0.8", 2)
 
 
+@pytest.mark.parametrize("payload, d, message", [
+    ({"kind": "hole", "c": True}, 1, "c must be a number, got True"),
+    ({"kind": "hole", "c": "0.8"}, 1, "c must be a number, got '0.8'"),
+    ({"kind": "fading", "a_db": True}, 2, "a_db must be a number, got True"),
+    ({"kind": "fading", "a_db": "5"}, 2, "a_db must be a number, got '5'"),
+], ids=["c-bool", "c-string", "a-db-bool", "a-db-string"])
+def test_dist_file_takes_numbers_only(tmp_path, capsys, payload, d, message):
+    # float() once read true as 1 and "0.8" as 0.8, and the run went ahead
+    assert _main_with_files(tmp_path, ["moments", "--dist", payload, "--d", str(d)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+ONE_AREA = {"areas": [1.0], "H": 1, "m": [[2]], "lambda1": [0.1]}
+CSMA_SMALL = ["--beta", "0.4", "--gamma-db", "0", "--n", "4", "--table-trials", "2"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"areas": [True]}, "areas must be a number, got True"),
+    ({"areas": ["1"]}, "areas must be a number, got '1'"),
+    ({"lambda1": [True]}, "lambda1 must be a number, got True"),
+    ({"lambda1": ["0.1"]}, "lambda1 must be a number, got '0.1'"),
+    ({"collision": {"params": {"vulnerability_slots": True}}},
+     "vulnerability_slots must be a number, got True"),
+    ({"collision": {"params": {"backoff_factor": "1"}}}, "backoff_factor must be a number, got '1'"),
+], ids=["areas-bool", "areas-string", "lambda1-bool", "lambda1-string", "collision-bool",
+        "collision-string"])
+def test_hierarchy_config_takes_numbers_only(tmp_path, capsys, change, message):
+    cfg = _with(ONE_AREA, **change)
+    assert _main_with_files(tmp_path, ["scenario", "csma", "--config", cfg, *CSMA_SMALL]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_csma_config_records_the_collision_params(tmp_path):
+    # the hash once left out the collision params: windows 1 and 2 shared it
+    def meta(name, params):
+        cfg = _dist_file(tmp_path, name, _with(ONE_AREA, collision={"params": params}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["scenario", "csma", "--config", cfg, *CSMA_SMALL, "--out", str(out)]) == 0
+        return read_rows(str(out))[0]
+
+    one, two = meta("one", {"vulnerability_slots": 1.0}), meta("two", {"vulnerability_slots": 2.0})
+    assert one["config_hash"] != two["config_hash"]
+    assert json.loads(next(csv.reader([two["config"]]))[0])["collision"] == {
+        "slot_duration": 1.0, "backoff_factor": 1.0, "vulnerability_slots": 2.0}
+    # the default, an integer 2 and 2.0 are one run, and record alike
+    assert meta("int", {"vulnerability_slots": 2})["config"] == two["config"]
+    assert meta("default", {})["config"] == two["config"]
+
+
+@pytest.mark.parametrize("near, far, d", [("hole:c=0.8", "hole:c=0.8000001", 1),
+                                          ("fading:a_db=5", "fading:a_db=5.0000001", 2)],
+                         ids=["hole", "fading"])
+def test_dist_ids_keep_every_digit(tmp_path, near, far, d):
+    # six significant digits once gave both inputs one id and one hash
+    metas = []
+    for name, spec in (("near", near), ("far", far)):
+        _moments_bytes(tmp_path, name, spec, d)
+        metas.append(read_rows(str(tmp_path / f"{name}.csv"))[0])
+    assert metas[0]["config"] != metas[1]["config"]
+    assert metas[0]["config_hash"] != metas[1]["config_hash"]
+    assert far.split("=")[1] in metas[1]["config"]
+
+
 def test_negative_vulnerability_window_is_usage_error(tmp_path, capsys):
     # at saturation (q = 1) the closed form would divide zero by a negative power
     cfg = _with(_quadrant_config([1.0] * 4),

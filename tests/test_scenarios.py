@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from vanspec import scenarios
 from vanspec.moments import density_power_integrals
 from vanspec.scenarios import (
     ClusterHierarchy,
@@ -187,6 +191,27 @@ def test_hole_sampler_gof():
     assert sampler_chi2_pvalue(hole_distribution(0.5, d=1), draws=100_000, seed=3) > 1e-3
 
 
+def _id_parameter(dist) -> str:
+    """The parameter text of a hole-c<c>-d<d> or fading-a<a_db>dB id."""
+    match = re.fullmatch(r"hole-c(.+)-d\d+|fading-a(.+)dB", dist.id)
+    return match.group(1) or match.group(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1.0), st.floats(-300.0, 300.0, allow_subnormal=False), st.booleans())
+def test_distribution_ids_read_back_and_keep_their_g_text(c, a_db, six_digits):
+    # every id reads back as its parameter; where the six-digit :g text of a
+    # normal float reads back, the id is that text, so such ids keep their
+    # bytes (a subnormal such as 5e-324 has fewer digits than :g writes)
+    if six_digits:
+        c, a_db = float(f"{c:g}"), float(f"{a_db:g}")
+    for x, dist in ((c, hole_distribution(c)), (a_db, fading_distribution(a_db))):
+        text = _id_parameter(dist)
+        assert float(text) == x
+        if float(f"{x:g}") == x:
+            assert text == f"{x:g}"
+
+
 def test_hole_mse_floor():
     c = 0.5
     val = asymptotic_mse(hole_distribution(c), 0.4, 10.0, lambda b, g: 1.0 / (1.0 + g))
@@ -245,16 +270,14 @@ def test_csma_lossless_network():
     assert np.all(np.abs(rng_pts) <= 0.5)
 
 
-def test_csma_traffic_recursion_by_hand():
+def test_csma_traffic_recursion_by_hand(monkeypatch):
     pc = 0.1
 
-    def flat_model(m_nodes, load):
+    def flat_model(m_nodes, load, params):
         return 0.0 if (m_nodes == 1 or load == 0) else pc
 
-    hier = ClusterHierarchy(
-        areas=(1.0,), H=3, nodes=((5, 4, 3),), lambda1=(0.01,),
-        collision_model=flat_model,
-    )
+    monkeypatch.setattr(scenarios, "default_collision_model", flat_model)
+    hier = ClusterHierarchy(areas=(1.0,), H=3, nodes=((5, 4, 3),), lambda1=(0.01,))
     prof = csma_success_profile(hier)
     lam2 = 5 * 0.01 * 0.9
     lam3 = 4 * lam2 * 0.9
@@ -291,13 +314,10 @@ def test_csma_sampler_and_density_consistent():
 
 
 def test_csma_rejects_saturated_collision():
-    def broken(m_nodes, load):
-        return 1.0
-
-    hier = ClusterHierarchy(
-        areas=(1.0,), H=1, nodes=((5,),), lambda1=(0.5,), collision_model=broken
-    )
-    with pytest.raises(ValueError):
+    # q = 0.5 x 1 x 2 = 1: every contender attempts in every slot, P_c = 1
+    hier = ClusterHierarchy(areas=(1.0,), H=1, nodes=((5,),), lambda1=(0.5,),
+                            collision=CollisionParams(backoff_factor=2.0))
+    with pytest.raises(ValueError, match="collision model returned P_c=1.0"):
         csma_success_profile(hier)
 
 
@@ -313,13 +333,27 @@ def test_zero_width_window_never_collides():
     assert [default_collision_model(3, q, params) for q in (0.5, 1.0, 4.0)] == [0.0] * 3
 
 
+@pytest.mark.parametrize("field", ["slot_duration", "backoff_factor", "vulnerability_slots"])
+@pytest.mark.parametrize("value", [True, "1.0"], ids=["bool", "string"])
+def test_collision_params_take_numbers_only(field, value):
+    # True once ran as 1.0
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+        CollisionParams(**{field: value})
+
+
 def _hierarchy(**change):
     return ClusterHierarchy(**{"areas": (1.0,), "H": 1, "nodes": ((2,),), "lambda1": (0.1,),
                                **change})
 
 
-def _all_but_an_ulp(m_nodes, load):
+def _all_but_an_ulp(m_nodes, load, params):
     return float(np.nextafter(1.0, 0.0))
+
+
+def _profile_with_all_but_an_ulp(hier):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "default_collision_model", _all_but_an_ulp)
+        return csma_success_profile(hier)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -330,8 +364,7 @@ def _all_but_an_ulp(m_nodes, load):
     (lambda: _hierarchy(areas=(1.5, -0.5), nodes=((2,), (2,)), lambda1=(0.1, 0.1)),
      "area measures must be positive"),
     # each layer passes 2^-53 of the traffic: 25 layers underflow to zero
-    (lambda: csma_success_profile(_hierarchy(H=25, nodes=((1,) * 25,),
-                                             collision_model=_all_but_an_ulp)),
+    (lambda: _profile_with_all_but_an_ulp(_hierarchy(H=25, nodes=((1,) * 25,))),
      "no traffic survives the hierarchy"),
     (lambda: CollisionParams(slot_duration=-1.0), "slot_duration must be finite and >= 0"),
     (lambda: CollisionParams(backoff_factor=math.inf), "backoff_factor must be finite and >= 0"),

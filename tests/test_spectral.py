@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -36,7 +38,6 @@ from vanspec.spectral import (
     eta_mixture,
     eta_u_table,
     gram_eigenvalues,
-    gram_twin,
     histogram,
     mixture_span,
     summarize_eigenvalues,
@@ -258,7 +259,7 @@ def test_real_twin_eigenvalues_match_complex(dn, side, mass, seed):
         x[rng.random(m) < 0.5] = mass
     V = DFoldVandermonde(n=n, d=d, m=m, points=x)
     G = gram_matrix(V)
-    R = gram_twin(V)
+    R = V.twin
     assert np.array_equal(R, real_twin(G))
     assert R.dtype == np.float64 and R.flags.c_contiguous
     assert np.array_equal(R, R.T)
@@ -357,6 +358,28 @@ ONE_NODE_TABLE = EtaUTable(d=1, n=8, trials=2, seed=0, beta_grid=np.array([0.5])
 def test_each_spectral_guard_names_its_fault(tmp_path, monkeypatch, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("beta_grid", [True, 2.0], "beta_grid must hold numbers only, got True"),
+    ("gamma_grid", ["0.5", 5.0], "gamma_grid must hold numbers only, got '0.5'"),
+    ("values", [[0.6, False], [0.4, 0.3]], "values must hold numbers only, got False"),
+    ("values", [[0.6, 0.5], [0.4, "0.3"]], "values must hold numbers only, got '0.3'"),
+], ids=["beta-grid-bool", "gamma-grid-string", "values-bool", "values-string"])
+def test_eta_table_load_takes_numbers_only(tmp_path, key, entry, message):
+    # a float conversion once read true as 1.0 and "0.5" as 0.5
+    table = {"d": 1, "n": 8, "trials": 2, "seed": 0, "beta_grid": [0.5, 2.0],
+             "gamma_grid": [0.5, 5.0], "values": [[0.6, 0.5], [0.4, 0.3]], key: entry}
+    (tmp_path / "tab.json").write_text(json.dumps(table))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EtaUTable.load(str(tmp_path / "tab.json"))
+
+
+def test_uniform_density_is_one_on_the_cube():
+    dist = uniform_distribution(2)
+    z = np.random.default_rng(0).random((50, 2)) - 0.5
+    assert np.array_equal(dist.density(z), np.ones(50))
+    assert dist.density(np.zeros(2)).shape == (1,)
 
 
 def test_uniform_distribution_refuses_d_below_one():
@@ -476,6 +499,12 @@ def test_histogram_caps_an_exploding_freedman_diaconis_rule():
     edges, density = histogram(SpectrumSummary(rows, 3))
     assert len(edges) == 257
     assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_histogram_reraises_other_bin_errors():
+    # only numpy's refusal of finite-sized bins is widened; any other error stands
+    with pytest.raises(ValueError, match="`bins` must be positive"):
+        histogram(SpectrumSummary(np.array([[0.5, 1.0, 2.0]]), 3), bins=0)
 
 
 def test_aesd_hole_atom_mass():
