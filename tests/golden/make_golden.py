@@ -6,7 +6,8 @@ Each case runs one small CLI command in a fresh interpreter at seed 42 with
 --threads 1 and one BLAS thread (OPENBLAS_NUM_THREADS=1), and stores its argv,
 its '#' metadata and its CSV cells, as written, in tests/golden/<name>.json.
 A case whose argv ends in --svg also stores its plot: the points of each
-polyline, and the rest of the SVG text with those points cut out.
+polyline, and the rest of the SVG text with those points cut out.  An argv
+item may name an input file as {inputs}/<file>, read from tests/golden/inputs.
 Regenerate only when an output is meant to change (name the cases to
 regenerate just those), and say which in the change log.  For each case it
 rewrites, it prints how many metadata values, cells and plot coordinates
@@ -27,6 +28,7 @@ from itertools import zip_longest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
+INPUTS = os.path.join(HERE, "inputs")
 
 GLOBAL = ["--threads", "1", "--seed", "42"]
 
@@ -41,6 +43,9 @@ CASES = {
                         "--gamma-db", "0,10", "--n", "4", "--table-trials", "3"],
     "scenario-csma": ["scenario", "csma", "--beta", "0.4,0.8", "--gamma-db", "0,10",
                       "--n", "4", "--table-trials", "3"],
+    "scenario-csma-config": ["scenario", "csma", "--config", "{inputs}/csma-window-1.json",
+                             "--beta", "0.4,0.8", "--gamma-db", "0,10", "--n", "4",
+                             "--table-trials", "3"],
     "moments": ["moments", "--dist", "hole:c=0.8", "--d", "1", "--beta", "0.5",
                 "--max-p", "5", "--n", "64", "--trials", "4"],
     "partitions": ["partitions", "--p", "5"],
@@ -70,7 +75,9 @@ def run_case(argv: list[str], src: str = SRC) -> dict:
     A `reproduce <figure>` case writes into a temporary --out-dir, and its
     <figure>.csv is read; every other case writes the temporary --out.  An
     argv ending in --svg gets a temporary SVG path, read by `split_svg`.
+    {inputs} in an argv item stands for the INPUTS directory.
     """
+    argv = [a.replace("{inputs}", INPUTS) for a in argv]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as tmp:
