@@ -353,8 +353,11 @@ ONE_NODE_TABLE = EtaUTable(d=1, n=8, trials=2, seed=0, beta_grid=np.array([0.5])
      "need every m >= 1 and every gamma > 0"),
     (lambda tmp, mp: eta_mixture(uniform_distribution(2), 0.5, 2.0, ONE_NODE_TABLE), ValueError,
      "eta_u table has d=1, mixture needs d=2"),
+    # only numpy's refusal of finite-sized bins is widened; any other error stands
+    (lambda tmp, mp: histogram(SpectrumSummary(np.array([[0.5, 1.0, 2.0]]), 3), bins=0),
+     ValueError, "`bins` must be positive"),
 ], ids=["n-zero", "sampler-shape", "psd-floor", "table-not-object", "table-m-zero",
-        "table-gamma-zero", "mixture-d"])
+        "table-gamma-zero", "mixture-d", "histogram-bins-zero"])
 def test_each_spectral_guard_names_its_fault(tmp_path, monkeypatch, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path, monkeypatch)
@@ -499,12 +502,6 @@ def test_histogram_caps_an_exploding_freedman_diaconis_rule():
     edges, density = histogram(SpectrumSummary(rows, 3))
     assert len(edges) == 257
     assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_histogram_reraises_other_bin_errors():
-    # only numpy's refusal of finite-sized bins is widened; any other error stands
-    with pytest.raises(ValueError, match="`bins` must be positive"):
-        histogram(SpectrumSummary(np.array([[0.5, 1.0, 2.0]]), 3), bins=0)
 
 
 def test_aesd_hole_atom_mass():
