@@ -47,6 +47,7 @@ from .spectral import (
     empirical_moment,
     histogram,
     mixture_span,
+    read_record,
     transform_scaled_lsd,
 )
 from .svgplot import Series, line_plot_svg
@@ -184,37 +185,30 @@ def read_json_object(path: str) -> dict:
     return payload
 
 
-def as_integer(key: str, value) -> int:
-    """value as an int: an integer, or a float with no fraction (inline --dist
-    items parse as floats).  Anything else, a bool included, is a usage
-    error that names key."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return value
+# the hierarchy of scenario csma --config, and of a csma --dist record
+HIERARCHY_RECORD = {"areas": [float], "H": int, "m": [[int]], "lambda1": [float],
+                    "collision?": {"type?": str, "params?": {
+                        f"{f.name}?": float for f in dataclasses.fields(CollisionParams)}}}
 
 
-def as_number(key: str, value) -> float:
-    """value, a JSON number, as a float; a bool or a string is a usage error naming key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def load_hierarchy(payload: dict) -> ClusterHierarchy:
+def load_hierarchy(hierarchy: Optional[dict] = None, config: Optional[str] = None):
+    """The ClusterHierarchy of a hierarchy record, given as such or by the path of its file."""
+    if (hierarchy is None) == (config is None):
+        raise UsageError("csma distribution needs a hierarchy or a config, not both")
     try:
-        collision_cfg = payload.get("collision", {"type": "default"})
-        if collision_cfg.get("type", "default") != "default":
-            raise UsageError(f"unknown collision model {collision_cfg.get('type')!r}")
+        payload = hierarchy if config is None else read_json_object(config)
+        record = read_record(payload, HIERARCHY_RECORD, "hierarchy")
+        collision = record.get("collision", {})
+        if collision.get("type", "default") != "default":
+            raise UsageError(f"unknown collision model {collision['type']!r}")
         return ClusterHierarchy(
-            areas=tuple(as_number("areas", a) for a in payload["areas"]),
-            H=as_integer("H", payload["H"]),
-            nodes=tuple(tuple(as_integer("m", v) for v in row) for row in payload["m"]),
-            lambda1=tuple(as_number("lambda1", v) for v in payload["lambda1"]),
-            collision=CollisionParams(**collision_cfg.get("params", {})),
+            areas=tuple(record["areas"]),
+            H=record["H"],
+            nodes=tuple(map(tuple, record["m"])),
+            lambda1=tuple(record["lambda1"]),
+            collision=CollisionParams(**collision.get("params", {})),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad hierarchy config: {exc}")
 
 
@@ -230,33 +224,28 @@ def load_distribution(spec: str, d: int) -> SamplingDistribution:
         payload = {"kind": name}
         for item in argtext.split(",") if argtext else []:
             key, _, val = item.partition("=")
-            try:
-                payload[key] = float(val)
+            try:  # an item that reads as an integer is one
+                payload[key] = int(val) if val.strip().lstrip("+-").isdigit() else float(val)
             except ValueError:
                 raise UsageError(f"bad --dist item {item!r} in {spec!r}, want key=number")
+    # kind -> its factory, read from this module at each call, and the record
+    # it reads besides "kind" ("d" defaults to --d)
+    kinds = {
+        "uniform": (uniform_distribution, {"d?": int}),
+        "hole": (hole_distribution, {"c": float, "d?": int}),
+        "fading": (fading_distribution, {"a_db": float}),
+        "csma": (lambda **record: csma_success_profile(load_hierarchy(**record)).distribution,
+                 {"hierarchy?": HIERARCHY_RECORD, "config?": str}),
+    }
+    kind = payload.pop("kind", None)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise UsageError(f"unknown distribution kind {kind!r}")
+    factory, schema = kinds[kind]
+    if "d?" in schema:
+        payload.setdefault("d", d or 1)
     try:
-        kind = payload.get("kind")
-        dist_d = as_integer("d", payload.get("d", d or 1))
-        if kind == "uniform":
-            dist = uniform_distribution(dist_d)
-        elif kind == "hole":
-            if "c" not in payload:
-                raise UsageError("hole distribution needs c")
-            dist = hole_distribution(as_number("c", payload["c"]), d=dist_d)
-        elif kind == "fading":
-            if "a_db" not in payload:
-                raise UsageError("fading distribution needs a_db")
-            dist = fading_distribution(as_number("a_db", payload["a_db"]))
-        elif kind == "csma":
-            hier_payload = payload.get("hierarchy")
-            if hier_payload is None and "config" in payload:
-                hier_payload = read_json_object(payload["config"])
-            if hier_payload is None:
-                raise UsageError("csma distribution needs a hierarchy")
-            dist = csma_success_profile(load_hierarchy(hier_payload)).distribution
-        else:
-            raise UsageError(f"unknown distribution kind {kind!r}")
-    except ValueError as exc:  # the factory's own argument checks
+        dist = factory(**read_record(payload, schema, kind))
+    except ValueError as exc:  # the reader's and the factory's own checks
         raise UsageError(f"bad --dist {spec!r}: {exc}")
     if dist.d != d:
         raise UsageError(f"distribution is d={dist.d}, requested --d {d}")
@@ -475,7 +464,7 @@ def cmd_scenario_fading(args) -> int:
 def cmd_scenario_csma(args) -> int:
     check_size(args.n, 2)
     if args.config:
-        hier = load_hierarchy(read_json_object(args.config))
+        hier = load_hierarchy(config=args.config)
     else:
         hier = from_factory(quadrant_hierarchy, parse_float_list(args.lambda1))
     prof = from_factory(csma_success_profile, hier)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .sampling import GxClosedForm, GxDiscreteAtoms, SamplingDistribution
+from .spectral import read_record
 
 
 def db_to_linear(x_db: float) -> float:
@@ -147,12 +148,11 @@ class CollisionParams:
     vulnerability_slots: float = 2.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not (math.isfinite(value) and value >= 0):
+        params = read_record(vars(self), dict.fromkeys(vars(self), float), "collision")
+        for name, value in params.items():
+            if value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))  # 2 and 2.0 record alike
+            object.__setattr__(self, name, value)  # 2 and 2.0 record alike
 
 
 def default_collision_model(
@@ -195,12 +195,12 @@ class ClusterHierarchy:
             raise ValueError("need at least one area and one layer")
         if abs(sum(self.areas) - 1.0) > 1e-9:
             raise ValueError("area measures must sum to 1")
-        if any(a <= 0 for a in self.areas):
-            raise ValueError("area measures must be positive")
+        if not all(0 < a < math.inf for a in self.areas):
+            raise ValueError("area measures must be positive and finite")
         if len(self.nodes) != L or any(len(row) != self.H for row in self.nodes):
             raise ValueError("nodes must be an L x H table")
-        if len(self.lambda1) != L or any(l < 0 for l in self.lambda1):
-            raise ValueError("need one nonnegative layer-1 load per area")
+        if len(self.lambda1) != L or not all(0 <= l < math.inf for l in self.lambda1):
+            raise ValueError("need one nonnegative layer-1 load per area, each finite")
 
     @property
     def L(self) -> int:

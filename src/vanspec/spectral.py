@@ -15,6 +15,8 @@ import functools
 import json
 import math
 import os
+import reprlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -414,6 +416,36 @@ def _pchip(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
     return ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
 
 
+def read_record(payload, schema, where: str):
+    """payload, a decoded JSON value, read against schema: a dict from each
+    key (with a trailing "?" if it may be left out) to int, float, str, a
+    one-item list [t] or a nested schema.  An int is a JSON integer, a float
+    any finite JSON number, returned as a float.  ValueError names the key
+    path, where.key, of an unknown or missing key, of a value not of its
+    type, and of a list whose lists differ in length."""
+    kind = type(schema) if isinstance(schema, (dict, list)) else schema
+    if isinstance(payload, bool) or not isinstance(payload, {float: (int, float)}.get(kind, kind)):
+        want = {dict: "a JSON object", list: "a list", int: "an integer", float: "a number",
+                str: "a string"}[kind]
+        raise ValueError(f"{where} must be {want}, got {reprlib.repr(payload)}")
+    if kind is float and not abs(payload) <= sys.float_info.max:  # NaN, +-inf or a huge int
+        raise ValueError(f"{where} must be finite, got {reprlib.repr(payload)}")
+    if kind is list:
+        items = [read_record(v, schema[0], where) for v in payload]
+        if isinstance(schema[0], list) and len(set(map(len, items))) > 1:
+            raise ValueError(f"{where} is ragged: its lists differ in length")
+        return items
+    if kind is not dict:
+        return float(payload) if kind is float else payload
+    keys = {k.removesuffix("?"): k for k in schema}
+    for key in [*payload, *(k for k, entry in keys.items() if entry == k)]:
+        if (key in payload) != (key in keys):  # unknown, or required and missing
+            raise ValueError(f"{'unknown' if key in payload else 'missing'} key '{where}.{key}' "
+                             f"({where} takes {', '.join(keys)})")
+    return {k: read_record(payload[k], schema[entry], f"{where}.{k}")
+            for k, entry in keys.items() if k in payload}
+
+
 @dataclass
 class EtaUTable:
     """Empirical eta-transform of the uniform-phase spectrum on a grid.
@@ -487,37 +519,23 @@ class EtaUTable:
     @classmethod
     def load(cls, path: str) -> "EtaUTable":
         """Read a table written by save; ValueError names what is malformed:
-        a missing key, a d, n, trials or seed that is not an integer, a grid
-        or values entry that is not a number, a grid that is not strictly
-        increasing and positive, a values shape other than (len(beta_grid),
-        len(gamma_grid)), or a value that is not finite."""
+        anything read_record refuses in the record eta_table (a non-finite
+        number among them), a grid that is not strictly increasing and
+        positive, or a values shape other than (len(beta_grid),
+        len(gamma_grid))."""
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError("not a JSON object")
-        fields = tuple(f.name for f in dataclasses.fields(cls))
-        for key in fields:
-            if key not in payload:
-                raise ValueError(f"missing key {key!r}")
-        for key in fields[:4]:
-            if not isinstance(payload[key], int) or isinstance(payload[key], bool):
-                raise ValueError(f"{key} must be an integer, got {payload[key]!r}")
-        for key in fields[4:]:  # a list entry is a ragged row: the float conversion refuses it
-            for v in np.ravel(np.array(payload[key], dtype=object)):
-                if isinstance(v, bool) or not isinstance(v, (int, float, list)):
-                    raise ValueError(f"{key} must hold numbers only, got {v!r}")
-        table = cls(**{k: payload[k] for k in fields[:4]},
-                    **{k: np.array(payload[k], dtype=float) for k in fields[4:]})
+            record = read_record(json.load(fh), {
+                "d": int, "n": int, "trials": int, "seed": int,
+                "beta_grid": [float], "gamma_grid": [float], "values": [[float]]}, "eta_table")
+        table = cls(**{k: np.array(v, dtype=float) if isinstance(v, list) else v
+                       for k, v in record.items()})
         for name, grid in (("beta_grid", table.beta_grid), ("gamma_grid", table.gamma_grid)):
-            if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0))
-                    or np.any(np.diff(grid) <= 0)):
+            if grid.size == 0 or not np.all(grid > 0) or np.any(np.diff(grid) <= 0):
                 raise ValueError(f"{name} is not a strictly increasing list of positive numbers")
         want = (table.beta_grid.size, table.gamma_grid.size)
         if table.values.shape != want:
             raise ValueError(f"values has shape {table.values.shape}, "
                              f"want (len(beta_grid), len(gamma_grid)) = {want}")
-        if not np.all(np.isfinite(table.values)):
-            raise ValueError("values holds a number that is not finite")
         return table
 
 

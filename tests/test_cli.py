@@ -18,6 +18,7 @@ from vanspec.cli import FIGURES, build_parser, figure_args, main, parse_db_grid,
 from vanspec.spectral import EtaUTable
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+INPUTS = os.path.join(ROOT, "tests", "golden", "inputs")
 
 
 def read_rows(path):
@@ -123,7 +124,7 @@ def test_scenario_fading_mse_is_at_most_one(tmp_path):
 def test_scenario_csma_with_config_file(tmp_path):
     cfg = tmp_path / "hier.json"
     cfg.write_text(json.dumps({
-        "L": 2, "H": 2, "areas": [0.5, 0.5], "m": [[5, 3], [5, 3]],
+        "H": 2, "areas": [0.5, 0.5], "m": [[5, 3], [5, 3]],
         "lambda1": [1e-3, 1e-4], "collision": {"type": "default"},
     }))
     out = tmp_path / "c.csv"
@@ -172,6 +173,17 @@ def test_dist_file_writes_what_its_inline_spec_writes(tmp_path):
     dist = _dist_file(tmp_path, "hole", {"kind": "hole", "c": 0.8, "d": 1})
     assert _moments_bytes(tmp_path, "file", dist, 1) == _moments_bytes(
         tmp_path, "inline", "hole:c=0.8", 1)
+
+
+def test_readme_json_examples_read(tmp_path):
+    # the README's --dist file and --config hierarchy, read as the CLI reads them
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        dist_file, hierarchy = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    path = tmp_path / "dist.json"
+    path.write_text(dist_file)
+    assert cli.load_distribution(str(path), 1).id == "hole-c0.8-d1"
+    assert cli.load_hierarchy(json.loads(hierarchy)) == scenarios.quadrant_hierarchy(
+        [1e-3, 2e-4, 2e-4, 2e-5])
 
 
 def test_csma_inline_hierarchy_and_config_path_write_the_same_bytes(tmp_path):
@@ -443,7 +455,7 @@ def _exit_code(argv):
     (["scenario", "csma", "--lambda1=-1,0,0,0"],
      "bad quadrant_hierarchy parameter: need one nonnegative layer-1 load per area"),
     (["moments", "--dist", "fading:a_db=nan", "--d", "2", "--beta", "1", "--max-p", "2"],
-     "bad --dist 'fading:a_db=nan': a must be finite and > 0"),
+     "bad --dist 'fading:a_db=nan': fading.a_db must be finite, got nan"),
     (["moments", "--dist", "uniform", "--d", "1", "--n", "4", "--beta", "100", "--max-p", "2"],
      "--beta 100 at n^d = 4: m = n^d/beta = 0.04, want 0.5 < m < inf"),
     (["moments", "--dist", "uniform", "--d", "1", "--beta", "1e300", "--max-p", "2"],
@@ -655,17 +667,19 @@ def test_eta_table_reuse_rejects_mismatch(saved_table_run, tmp_path, capsys, fie
 
 
 @pytest.mark.parametrize("key, change, message", [
-    ("beta_grid", None, "missing key 'beta_grid'"),
+    ("beta_grid", None, "missing key 'eta_table.beta_grid'"),
     ("values", lambda rows: rows[:-1], "values has shape"),
     ("gamma_grid", lambda grid: grid[::-1], "gamma_grid is not a strictly increasing list"),
     ("values", lambda rows: [[float("inf")] + rows[0][1:]] + rows[1:],
-     "values holds a number that is not finite"),
-    ("n", str, "n must be an integer, got '"),
-    ("n", lambda n: True, "n must be an integer, got True"),
-    ("d", lambda d: None, "d must be an integer, got None"),
-    ("seed", float, "seed must be an integer, got "),
+     "eta_table.values must be finite, got inf"),
+    ("n", str, "eta_table.n must be an integer, got '"),
+    ("n", lambda n: True, "eta_table.n must be an integer, got True"),
+    ("d", lambda d: None, "eta_table.d must be an integer, got None"),
+    ("seed", float, "eta_table.seed must be an integer, got "),
+    ("values", lambda rows: rows[:-1] + [rows[-1][:-1]],
+     "eta_table.values is ragged: its lists differ in length"),
 ], ids=["missing-beta-grid", "rows-one-short", "gamma-grid-reversed", "value-not-finite",
-        "n-string", "n-bool", "d-null", "seed-float"])
+        "n-string", "n-bool", "d-null", "seed-float", "values-ragged"])
 def test_eta_table_malformed_file_is_usage_error(saved_table_run, tmp_path, capsys, key, change,
                                                  message):
     table = json.loads(saved_table_run[0].read_text())
@@ -678,6 +692,32 @@ def test_eta_table_malformed_file_is_usage_error(saved_table_run, tmp_path, caps
     rc = main(["--eta-table", str(path)] + MSE_ARGV + ["--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"--eta-table {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["moments", "--dist", "hole:c=0.8,x=3", "--d", "1"], "unknown key 'hole.x'"),
+    (["moments", "--dist", "uniform:c=0.5", "--d", "1"], "unknown key 'uniform.c'"),
+    (["moments", "--dist", {"kind": "hole", "c": 0.8, "cc": 0.8}, "--d", "1"],
+     "unknown key 'hole.cc'"),
+    (["scenario", "csma", "--config", _with(ONE_AREA, L=1), *CSMA_SMALL],
+     "unknown key 'hierarchy.L'"),
+    (["scenario", "csma", "--config", _with(ONE_AREA, collision={"prams": {
+        "vulnerability_slots": 1.0}}), *CSMA_SMALL], "unknown key 'hierarchy.collision.prams'"),
+    (["moments", "--dist", {"kind": "csma", "hierarchy": ONE_AREA,
+                            "config": os.path.join(INPUTS, "csma-window-1.json")}, "--d", "2"],
+     "needs a hierarchy or a config, not both"),
+    (["--eta-table", "{table}"] + MSE_ARGV, "unknown key 'eta_table.extra'"),
+], ids=["inline-hole", "inline-uniform", "dist-file", "config-top-level", "config-collision",
+        "csma-dist-hierarchy-and-config", "eta-table"])
+def test_each_record_refuses_an_unknown_or_conflicting_key(saved_table_run, tmp_path, capsys,
+                                                          argv, key):
+    # each of these once ran to exit 0 on part of its input
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({**json.loads(saved_table_run[0].read_text()), "extra": 0}))
+    argv = [a.format(table=table) if isinstance(a, str) else a for a in argv]
+    assert _main_with_files(tmp_path, argv) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -708,8 +748,8 @@ MSE_SMALL = ["mse", "--dist", "uniform", "--n", "8", "--d", "1", "--gamma-db", "
     (["scenario", "csma", "--config", _with(_quadrant_config([1e-3, 2e-4, 2e-4, 2e-5]),
                                             collision={"type": "aloha"})],
      2, "unknown collision model 'aloha'"),
-    (["moments", "--dist", "hole", "--d", "1"], 2, "hole distribution needs c"),
-    (["moments", "--dist", "fading", "--d", "2"], 2, "fading distribution needs a_db"),
+    (["moments", "--dist", "hole", "--d", "1"], 2, "missing key 'hole.c'"),
+    (["moments", "--dist", "fading", "--d", "2"], 2, "missing key 'fading.a_db'"),
     (["moments", "--dist", {"kind": "csma"}, "--d", "2"], 2, "csma distribution needs a hierarchy"),
     (["--eta-table", "{dir}"] + MSE_ARGV, 1, "vanspec: IsADirectoryError: "),
 ], ids=["float-list", "db-range", "db-grid-decreasing", "collision-model", "hole-without-c",

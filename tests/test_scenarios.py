@@ -367,14 +367,26 @@ def _profile_with_all_but_an_ulp(hier):
     (lambda: _profile_with_all_but_an_ulp(_hierarchy(H=25, nodes=((1,) * 25,))),
      "no traffic survives the hierarchy"),
     (lambda: CollisionParams(slot_duration=-1.0), "slot_duration must be finite and >= 0"),
-    (lambda: CollisionParams(backoff_factor=math.inf), "backoff_factor must be finite and >= 0"),
+    (lambda: CollisionParams(backoff_factor=math.inf),
+     "collision.backoff_factor must be finite, got inf"),
     (lambda: CollisionParams(vulnerability_slots=math.nan),
-     "vulnerability_slots must be finite and >= 0"),
+     "collision.vulnerability_slots must be finite, got nan"),
 ], ids=["no-nodes", "negative-load", "no-area", "no-layer", "negative-area", "no-traffic",
         "negative-slot", "infinite-backoff", "nan-window"])
 def test_each_scenarios_guard_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("areas, lambda1, message", [
+    ((math.nan, 1.0), (0.01, 0.01), "area measures must be positive and finite"),
+    ((0.5, 0.5), (math.nan, 0.01), "need one nonnegative layer-1 load per area, each finite"),
+    ((0.5, 0.5), (0.01, math.inf), "need one nonnegative layer-1 load per area, each finite"),
+], ids=["nan-area", "nan-load", "infinite-load"])
+def test_cluster_hierarchy_refuses_non_finite_areas_and_loads(areas, lambda1, message):
+    # every comparison with NaN is False, so each rule once let NaN through
+    with pytest.raises(ValueError, match=message):
+        ClusterHierarchy(areas=areas, H=1, nodes=((3,), (3,)), lambda1=lambda1)
 
 
 def test_cluster_hierarchy_validation():

@@ -40,6 +40,7 @@ from vanspec.spectral import (
     gram_eigenvalues,
     histogram,
     mixture_span,
+    read_record,
     summarize_eigenvalues,
     transform_scaled_lsd,
 )
@@ -346,7 +347,7 @@ ONE_NODE_TABLE = EtaUTable(d=1, n=8, trials=2, seed=0, beta_grid=np.array([0.5])
         uniform_distribution(2), sampler=lambda seed, m: np.zeros((m, 1))), 2, 4, seed=0),
      ValueError, r"returned shape \(4, 1\), wanted \(4, 2\)"),
     (_psd_floor, RuntimeError, "eigenvalue -0.001 below PSD tolerance"),
-    (_load_list, ValueError, "not a JSON object"),
+    (_load_list, ValueError, r"eta_table must be a JSON object, got \[1, 2\]"),
     (lambda tmp, mp: eta_u_table(1, [4, 0], [2.0], n=4, trials=1, seed=0), ValueError,
      "need every m >= 1 and every gamma > 0"),
     (lambda tmp, mp: eta_u_table(1, [4], [0.0, 2.0], n=4, trials=1, seed=0), ValueError,
@@ -364,10 +365,10 @@ def test_each_spectral_guard_names_its_fault(tmp_path, monkeypatch, call, error,
 
 
 @pytest.mark.parametrize("key, entry, message", [
-    ("beta_grid", [True, 2.0], "beta_grid must hold numbers only, got True"),
-    ("gamma_grid", ["0.5", 5.0], "gamma_grid must hold numbers only, got '0.5'"),
-    ("values", [[0.6, False], [0.4, 0.3]], "values must hold numbers only, got False"),
-    ("values", [[0.6, 0.5], [0.4, "0.3"]], "values must hold numbers only, got '0.3'"),
+    ("beta_grid", [True, 2.0], "eta_table.beta_grid must be a number, got True"),
+    ("gamma_grid", ["0.5", 5.0], "eta_table.gamma_grid must be a number, got '0.5'"),
+    ("values", [[0.6, False], [0.4, 0.3]], "eta_table.values must be a number, got False"),
+    ("values", [[0.6, 0.5], [0.4, "0.3"]], "eta_table.values must be a number, got '0.3'"),
 ], ids=["beta-grid-bool", "gamma-grid-string", "values-bool", "values-string"])
 def test_eta_table_load_takes_numbers_only(tmp_path, key, entry, message):
     # a float conversion once read true as 1.0 and "0.5" as 0.5
@@ -376,6 +377,86 @@ def test_eta_table_load_takes_numbers_only(tmp_path, key, entry, message):
     (tmp_path / "tab.json").write_text(json.dumps(table))
     with pytest.raises(ValueError, match=re.escape(message)):
         EtaUTable.load(str(tmp_path / "tab.json"))
+
+
+TABLE_FIELDS = [f.name for f in dataclasses.fields(EtaUTable)]
+increasing_grid = st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), beta_grid=increasing_grid, gamma_grid=increasing_grid,
+       ints=st.lists(st.integers(-2 ** 63, 2 ** 63), min_size=4, max_size=4))
+def test_eta_table_file_round_trips_and_names_a_changed_key(tmp_path_factory, data, beta_grid,
+                                                            gamma_grid, ints):
+    values = data.draw(arrays(np.float64, (len(beta_grid), len(gamma_grid)),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    table = EtaUTable(*ints, np.array(beta_grid), np.array(gamma_grid), values)
+    path = str(tmp_path_factory.getbasetemp() / "round-trip.json")
+    table.save(path)
+    back = EtaUTable.load(path)
+    for name in TABLE_FIELDS:
+        assert np.array_equal(getattr(back, name), getattr(table, name)), name
+    saved = json.loads(open(path, encoding="utf-8").read())
+    extra = data.draw(st.text(min_size=1).filter(lambda k: k not in saved))
+    dropped = data.draw(st.sampled_from(TABLE_FIELDS))
+    ragged = saved["values"] + [saved["values"][0] + [0.5]]
+    for change, message in (({**saved, extra: 0}, f"unknown key 'eta_table.{extra}'"),
+                            ({k: v for k, v in saved.items() if k != dropped},
+                             f"missing key 'eta_table.{dropped}'"),
+                            ({**saved, "values": ragged}, "eta_table.values is ragged")):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(change, fh)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EtaUTable.load(path)
+
+
+RECORD = {"n": int, "x": float, "name?": str, "rows": [[float]], "sub?": {"k": int}}
+GOOD = {"n": 2, "x": 1, "rows": [[1, 2.5], [0.0, -3]]}
+
+
+def test_read_record_reads_a_good_record():
+    # an integer where a float belongs reads as a float; keys left out stay out
+    record = read_record({**GOOD, "sub": {"k": 7}}, RECORD, "rec")
+    assert record == {"n": 2, "x": 1.0, "rows": [[1.0, 2.5], [0.0, -3.0]], "sub": {"k": 7}}
+    assert type(record["x"]) is float and type(record["rows"][1][1]) is float
+    assert "name" not in record
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"y": 1}, "unknown key 'rec.y' (rec takes n, x, name, rows, sub)"),
+    ({"sub": {"k": 1, "j": 2}}, "unknown key 'rec.sub.j' (rec.sub takes k)"),
+    ({"sub": {}}, "missing key 'rec.sub.k'"),
+    ({"sub": 5}, "rec.sub must be a JSON object, got 5"),
+    ({"n": True}, "rec.n must be an integer, got True"),
+    ({"n": 2.0}, "rec.n must be an integer, got 2.0"),
+    ({"n": "2"}, "rec.n must be an integer, got '2'"),
+    ({"x": False}, "rec.x must be a number, got False"),
+    ({"x": "1"}, "rec.x must be a number, got '1'"),
+    ({"x": None}, "rec.x must be a number, got None"),
+    ({"x": json.loads("NaN")}, "rec.x must be finite, got nan"),
+    ({"x": json.loads("-Infinity")}, "rec.x must be finite, got -inf"),
+    ({"x": json.loads("1" + "0" * 400)}, "rec.x must be finite, got 1000"),
+    ({"name": 3}, "rec.name must be a string, got 3"),
+    ({"rows": 1}, "rec.rows must be a list, got 1"),
+    ({"rows": [1.0]}, "rec.rows must be a list, got 1.0"),
+    ({"rows": [[1.0], [1.0, 2.0]]}, "rec.rows is ragged: its lists differ in length"),
+    ({"rows": [[1.0, math.inf]]}, "rec.rows must be finite, got inf"),
+], ids=["unknown", "nested-unknown", "nested-missing", "nested-not-object", "int-bool",
+        "int-float", "int-string", "float-bool", "float-string", "float-null", "float-nan",
+        "float-infinity", "float-huge-int", "str-int", "list-number", "row-number", "ragged",
+        "row-infinity"])
+def test_read_record_names_each_fault(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_record({**GOOD, **change}, RECORD, "rec")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([GOOD], "rec must be a JSON object, got [{"),
+    ({key: v for key, v in GOOD.items() if key != "x"}, "missing key 'rec.x'"),
+], ids=["not-object", "missing"])
+def test_read_record_names_a_missing_key_and_a_record_that_is_no_object(payload, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_record(payload, RECORD, "rec")
 
 
 def test_uniform_density_is_one_on_the_cube():
