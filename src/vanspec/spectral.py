@@ -243,15 +243,17 @@ def histogram(summary: SpectrumSummary, bins="auto") -> tuple[np.ndarray, np.nda
     bulk too narrow for finite-sized bins is binned over [lo - 0.5, hi + 0.5],
     as numpy bins a zero-width one, and "auto" then takes 256 bins."""
     positives = summary.rows[~summary.atom]
+    rule = bins
+    if bins == "auto":  # FD explodes on heavy tails: cap it before numpy allocates its edges
+        width = 2.0 * np.subtract(*np.percentile(positives, [75, 25])) * positives.size ** (-1 / 3)
+        rule = "fd" if not width or np.ptp(positives) / width <= 2047 else 256
     try:
-        edges = np.histogram_bin_edges(positives, bins="fd" if bins == "auto" else bins)
+        edges = np.histogram_bin_edges(positives, bins=rule)
     except ValueError as exc:  # a bulk a few ulps wide
         if "finite-sized" not in str(exc):
             raise
         edges = np.histogram_bin_edges(positives, bins=256 if bins == "auto" else bins,
                                        range=(positives.min() - 0.5, positives.max() + 0.5))
-    if len(edges) > 2048:  # FD can explode on heavy tails
-        edges = np.histogram_bin_edges(positives, bins=256)
     dens, edges = np.histogram(positives, bins=edges, density=True)
     return edges, dens * ((1.0 - summary.extra_zero_mass) * (1.0 - summary.atom_zero_mass))
 

@@ -585,6 +585,15 @@ def test_histogram_caps_an_exploding_freedman_diaconis_rule():
     assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_histogram_caps_freedman_diaconis_before_numpy_allocates_its_edges():
+    # an IQR of 2^-40 under a range of 1,000: FD asks for about 1.9e15
+    # bins, whose edges numpy cannot allocate, so the cap must come first
+    rows = np.array([[1.0] * 20 + [1.0 + 2.0 ** -40] * 20 + [1e3]])
+    edges, density = histogram(SpectrumSummary(rows, 3))
+    assert len(edges) == 257
+    assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_aesd_hole_atom_mass():
     # desk-scale version of the scaled-support atom law (full law in acceptance)
     s = aesd(hole_distribution(0.6, d=1), 64, 80, trials=8, seed=4)
